@@ -10,6 +10,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
 from .inference import analyze
 from .linalg import angle_between, pca_spectrum, sample_cca
 from .presets import PRESETS, build_spec
-from .simulate import SimSpec, gen_data, mc_angles, seeded_rng
+from .simulate import gen_data, mc_angles, seeded_rng, theory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,6 +62,14 @@ def _print_spike_table(report, file=None):
         print("  ".join(row), file=file)
 
 
+def _write_tables(out, report, spikes):
+    hio.write_correlations_csv(out / "correlations.csv", report.correlations)
+    hio.write_histogram_csv(out / "histogram.csv", report.histogram)
+    hio.write_spikes_csv(out / "spikes.csv", spikes)
+    if report.overlay is not None:
+        hio.write_overlay_csv(out / "overlay.csv", report.overlay)
+
+
 def cmd_analyze(args) -> int:
     u = hio.load_csv(args.u_csv, orientation=args.orientation, demean=args.demean)
     v = hio.load_csv(args.v_csv, orientation=args.orientation, demean=args.demean)
@@ -76,14 +85,10 @@ def cmd_analyze(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("csv", "both"):
-        hio.write_correlations_csv(out / "correlations.csv", report.correlations)
-        hio.write_histogram_csv(out / "histogram.csv", report.histogram)
         spikes = list(report.spikes)
         if args.empirical_rows:
             spikes += list(report.empirical_spikes)
-        hio.write_spikes_csv(out / "spikes.csv", spikes)
-        if report.overlay is not None:
-            hio.write_overlay_csv(out / "overlay.csv", report.overlay)
+        _write_tables(out, report, spikes)
     if args.format in ("json", "both"):
         hio.write_report_json(out / "report.json", report)
     if args.pca:
@@ -97,14 +102,16 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _write_curve(path, rows):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rho_sq", "theta_theory", "theta_mean", "band_lo", "band_hi"]
-        )
-        for row in rows:
-            writer.writerow([hio.fmt(v) for v in row])
+def _write_curves(out, rows):
+    """theta_x_curve.csv and theta_y_curve.csv from (x row, y row) pairs."""
+    for side, name in enumerate(("theta_x_curve.csv", "theta_y_curve.csv")):
+        with (out / name).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["rho_sq", "theta_theory", "theta_mean", "band_lo", "band_hi"]
+            )
+            for pair in rows:
+                writer.writerow([hio.fmt(v) for v in pair[side]])
 
 
 def _write_angles_csv(path, rows):
@@ -121,101 +128,63 @@ def _write_angles_csv(path, rows):
 def _run_single(spec, out):
     U, V, truth = gen_data(spec)
     report = analyze(U, V)
-    hio.write_correlations_csv(out / "correlations.csv", report.correlations)
-    hio.write_histogram_csv(out / "histogram.csv", report.histogram)
-    hio.write_spikes_csv(out / "spikes.csv", report.spikes)
-    if report.overlay is not None:
-        hio.write_overlay_csv(out / "overlay.csv", report.overlay)
+    _write_tables(out, report, report.spikes)
     if spec.n_signals:
-        regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
+        predictions = theory(spec)  # raises DimensionError before the CCA
         res = sample_cca(U, V)
         rows = []
-        for q, r in enumerate(spec.signal_strengths):
-            rho_sq = r * r
-            if rho_sq > regime.rho_c_sq:
-                pred = wachter.spike_prediction(rho_sq, regime)
-                tx, ty = (
-                    wachter.theta_degrees(pred.s_x),
-                    wachter.theta_degrees(pred.s_y),
-                )
-            else:
-                tx = ty = 90.0
+        for q, pred in enumerate(predictions):
             sim_x = angle_between(truth.x[q], res.left_variables[q]).degrees
             sim_y = angle_between(truth.y[q], res.right_variables[q]).degrees
-            rows.append((q + 1, rho_sq, tx, sim_x, ty, sim_y))
+            rows.append(
+                (q + 1, pred.rho_sq, wachter.theta_degrees(pred.s_x), sim_x,
+                 wachter.theta_degrees(pred.s_y), sim_y)
+            )
         _write_angles_csv(out / "angles.csv", rows)
     _print_spike_table(report)
     return EXIT_OK
 
 
+def _curve_rows(summary, q, rho_sq):
+    """theta_x and theta_y curve rows of signal q, labelled with ``rho_sq``."""
+    pred = summary.theory[q]
+    return (
+        (rho_sq, wachter.theta_degrees(pred.s_x), summary.mean_theta_x[q],
+         *summary.band_x[:, q]),
+        (rho_sq, wachter.theta_degrees(pred.s_y), summary.mean_theta_y[q],
+         *summary.band_y[:, q]),
+    )
+
+
 def _run_mc(spec, replications, out):
     summary = mc_angles(spec, replications)
-    rows_x, rows_y = [], []
-    for q, pred in enumerate(summary.theory):
-        rows_x.append(
-            (
-                pred.rho_sq,
-                wachter.theta_degrees(pred.s_x),
-                summary.mean_theta_x[q],
-                summary.band_x[0, q],
-                summary.band_x[1, q],
-            )
-        )
-        rows_y.append(
-            (
-                pred.rho_sq,
-                wachter.theta_degrees(pred.s_y),
-                summary.mean_theta_y[q],
-                summary.band_y[0, q],
-                summary.band_y[1, q],
-            )
-        )
-    _write_curve(out / "theta_x_curve.csv", rows_x)
-    _write_curve(out / "theta_y_curve.csv", rows_y)
+    rows = [_curve_rows(summary, q, pred.rho_sq) for q, pred in enumerate(summary.theory)]
+    _write_curves(out, rows)
     hio.write_correlations_csv(out / "mean_lambdas.csv", summary.lambdas.mean(axis=0))
-    for q, pred in enumerate(summary.theory):
+    for q, (row_x, row_y) in enumerate(rows):
         print(
-            f"signal {q + 1}: rho_sq={pred.rho_sq:.4f}  "
-            f"theta_x theory {wachter.theta_degrees(pred.s_x):6.2f} "
-            f"mean {summary.mean_theta_x[q]:6.2f}  "
-            f"theta_y theory {wachter.theta_degrees(pred.s_y):6.2f} "
-            f"mean {summary.mean_theta_y[q]:6.2f}"
+            f"signal {q + 1}: rho_sq={row_x[0]:.4f}  "
+            f"theta_x theory {row_x[1]:6.2f} mean {row_x[2]:6.2f}  "
+            f"theta_y theory {row_y[1]:6.2f} mean {row_y[2]:6.2f}"
         )
     return EXIT_OK
 
 
-def _run_mc_curve(spec_kwargs, rho_grid, replications, seed, out):
-    regime = wachter.regime_from_dims(
-        spec_kwargs["K"], spec_kwargs["M"], spec_kwargs["S"]
-    )
-    rows_x, rows_y = [], []
+def _run_mc_curve(spec, rho_grid, replications, out):
+    """One Monte Carlo run per grid strength; run i uses seed ``spec.seed + i``."""
+    rows = []
     for idx, rho_sq in enumerate(rho_grid):
-        spec = SimSpec(
-            **{**spec_kwargs, "signal_strengths": (math.sqrt(rho_sq),),
-               "seed": seed + idx}
+        point = replace(
+            spec, signal_strengths=(math.sqrt(rho_sq),), seed=spec.seed + idx
         )
-        summary = mc_angles(spec, replications)
-        if rho_sq > regime.rho_c_sq:
-            pred = wachter.spike_prediction(rho_sq, regime)
-            tx, ty = wachter.theta_degrees(pred.s_x), wachter.theta_degrees(pred.s_y)
-        else:
-            tx = ty = 90.0
-        rows_x.append(
-            (rho_sq, tx, summary.mean_theta_x[0], *summary.band_x[:, 0])
-        )
-        rows_y.append(
-            (rho_sq, ty, summary.mean_theta_y[0], *summary.band_y[:, 0])
-        )
-    _write_curve(out / "theta_x_curve.csv", rows_x)
-    _write_curve(out / "theta_y_curve.csv", rows_y)
+        rows.append(_curve_rows(mc_angles(point, replications), 0, rho_sq))
+    _write_curves(out, rows)
     print(f"wrote angle curves over {len(rho_grid)} strengths")
     return EXIT_OK
 
 
-def _run_theory_curve(spec_kwargs, out):
-    regime = wachter.regime_from_dims(
-        spec_kwargs["K"], spec_kwargs["M"], spec_kwargs["S"]
-    )
+def _run_theory_curve(spec, out):
+    regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
     with (out / "theory_curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho_sq", "z_rho", "theta_x_deg", "theta_y_deg"])
@@ -233,53 +202,44 @@ def _run_theory_curve(spec_kwargs, out):
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _resolve_simulation(args):
+    """(spec, kind, replications, rho_grid) from ``--preset`` or ``--spec``."""
     if args.preset:
         preset = PRESETS.get(args.preset)
         if preset is None:
             raise SpecError(
                 f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
             )
+        spec, kind, rho_grid = build_spec(preset), preset.kind, preset.rho_grid
         replications = args.replications or preset.replications
-        seed = args.seed if args.seed is not None else 0
-        if preset.kind == "theory-curve":
-            return _run_theory_curve(preset.spec_kwargs, out)
-        if preset.kind == "single-run":
-            return _run_single(build_spec(preset, seed=seed), out)
-        if preset.kind == "mc":
-            return _run_mc(build_spec(preset, seed=seed), replications, out)
-        if preset.kind == "mc-curve":
-            return _run_mc_curve(
-                preset.spec_kwargs, preset.rho_grid, replications, seed, out
-            )
-        raise SpecError(f"unknown preset kind {preset.kind!r}")
-    if not args.spec:
+    elif args.spec:
+        spec, extras = hio.parse_sim_config(args.spec)
+        replications = args.replications or extras.get("replications", 1)
+        rho_grid = extras.get("rho_grid")
+        if rho_grid is not None:
+            kind = "mc-curve"
+        else:
+            kind = "single-run" if replications <= 1 else "mc"
+    else:
         raise SpecError("simulate needs --preset or --spec")
-    spec, extras = hio.parse_sim_config(args.spec)
     if args.seed is not None:
-        spec = SimSpec(
-            **{
-                **{f: getattr(spec, f) for f in (
-                    "K", "M", "S", "signal_strengths", "noise_law", "noise_df",
-                    "signal_mode", "signal_cov_scale", "mix",
-                )},
-                "seed": args.seed,
-            }
-        )
-    replications = args.replications or extras.get("replications", 1)
-    if "rho_grid" in extras:
-        kwargs = dict(
-            K=spec.K, M=spec.M, S=spec.S,
-            noise_law=spec.noise_law, noise_df=spec.noise_df,
-        )
-        return _run_mc_curve(
-            kwargs, extras["rho_grid"], replications, spec.seed, out
-        )
-    if replications <= 1:
+        spec = replace(spec, seed=args.seed)
+    return spec, kind, replications, rho_grid
+
+
+def cmd_simulate(args) -> int:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    spec, kind, replications, rho_grid = _resolve_simulation(args)
+    if kind == "theory-curve":
+        return _run_theory_curve(spec, out)
+    if kind == "single-run":
         return _run_single(spec, out)
-    return _run_mc(spec, replications, out)
+    if kind == "mc":
+        return _run_mc(spec, replications, out)
+    if kind == "mc-curve":
+        return _run_mc_curve(spec, rho_grid, replications, out)
+    raise SpecError(f"unknown preset kind {kind!r}")
 
 
 def cmd_master_check(args) -> int:

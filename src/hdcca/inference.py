@@ -25,14 +25,13 @@ import numpy as np
 
 from . import master, wachter
 from .errors import (
-    BelowEdge,
     DimensionError,
     GateFailed,
     GateWarning,
     HdccaError,
     PoleProximity,
 )
-from .linalg import CcaResult, sample_cca
+from .linalg import CcaResult, _cca, _panels, _regime_note
 
 _TIE_TOL = 1e-10
 OVERLAY_POINTS = 512
@@ -88,6 +87,36 @@ def _gap(correlations, i, regime=None):
     return float("nan")
 
 
+def _gate(gate_multiplier, S):
+    """Smallest eigenvalue gap the empirical route trusts."""
+    return gate_multiplier / math.sqrt(S)
+
+
+def _walk_spikes(lam, regime, gate_multiplier):
+    """The maximal prefix of correlations above the edge, gated.
+
+    Returns ``(index, gap, gate_passed)`` per spike (0-based index) and one
+    text per spike that fails the gate.
+    """
+    if regime.S is None:
+        raise DimensionError("spike detection needs a finite-dimension regime")
+    gate = _gate(gate_multiplier, regime.S)
+    spikes, failures = [], []
+    for i in range(lam.shape[0]):
+        if lam[i] <= regime.lambda_plus:
+            break
+        gap = _gap(lam, i, regime)
+        gate_passed = gap >= gate
+        spikes.append((i, gap, gate_passed))
+        if not gate_passed:
+            failures.append(
+                f"correlation {i + 1} ({lam[i]:.4f}) is above the edge but its "
+                f"gap {gap:.4f} fails the gate {gate:.4f}; "
+                "empirical-route estimates may be unreliable"
+            )
+    return spikes, failures
+
+
 def detect_spikes(
     result: CcaResult | np.ndarray,
     regime: wachter.AsymptoticRegime,
@@ -104,23 +133,29 @@ def detect_spikes(
         result.correlations_sq if isinstance(result, CcaResult) else result,
         dtype=float,
     )
-    if regime.S is None:
-        raise DimensionError("spike detection needs a finite-dimension regime")
-    gate = gate_multiplier / math.sqrt(regime.S)
-    spikes = []
-    for i in range(lam.shape[0]):
-        if lam[i] <= regime.lambda_plus:
-            break
-        spikes.append(i)
-        if _gap(lam, i, regime) < gate:
-            warnings.warn(
-                f"correlation {i + 1} ({lam[i]:.4f}) is above the edge but its "
-                f"gap {_gap(lam, i, regime):.4f} fails the gate {gate:.4f}; "
-                "empirical-route estimates may be unreliable",
-                GateWarning,
-                stacklevel=2,
-            )
-    return spikes
+    spikes, failures = _walk_spikes(lam, regime, gate_multiplier)
+    for text in failures:
+        warnings.warn(text, GateWarning, stacklevel=2)
+    return [i for i, _, _ in spikes]
+
+
+def _spike_report(index, lam, rho_sq, s_x, s_y, *, swapped, method, gate_passed, gap):
+    """SpikeReport for the caller's panel order (``s_x`` is the smaller side's)."""
+    if swapped:
+        s_x, s_y = s_y, s_x
+    return SpikeReport(
+        index=index,
+        lam=float(lam),
+        rho_sq_hat=float(rho_sq),
+        rho_abs=math.sqrt(rho_sq),
+        theta_x_deg=wachter.theta_degrees(s_x),
+        theta_y_deg=wachter.theta_degrees(s_y),
+        sin2_x=float(s_x),
+        sin2_y=float(s_y),
+        method=method,
+        gate_passed=gate_passed,
+        gap=gap,
+    )
 
 
 def estimate_spike_closed_form(
@@ -136,20 +171,9 @@ def estimate_spike_closed_form(
     if rho_sq > 1.0:
         rho_sq = 1.0
     s_x, s_y = wachter.sin2_angles(rho_sq, regime)
-    if regime.swapped:
-        s_x, s_y = s_y, s_x
-    return SpikeReport(
-        index=index,
-        lam=float(lambda_q),
-        rho_sq_hat=float(rho_sq),
-        rho_abs=math.sqrt(rho_sq),
-        theta_x_deg=wachter.theta_degrees(s_x),
-        theta_y_deg=wachter.theta_degrees(s_y),
-        sin2_x=float(s_x),
-        sin2_y=float(s_y),
-        method="closed-form",
-        gate_passed=gate_passed,
-        gap=gap,
+    return _spike_report(
+        index, lambda_q, rho_sq, s_x, s_y, swapped=regime.swapped,
+        method="closed-form", gate_passed=gate_passed, gap=gap,
     )
 
 
@@ -174,8 +198,8 @@ def estimate_spike_empirical(
     if not 1 <= q <= lam.shape[0]:
         raise ValueError(f"spike rank {q} out of range")
     lam_q = float(lam[q - 1])
-    gap = float(lam[q - 1] - lam[q]) if q < lam.shape[0] else float("nan")
-    gate = gate_multiplier / math.sqrt(S)
+    gap = _gap(lam, q - 1)
+    gate = _gate(gate_multiplier, S)
     gate_passed = bool(gap >= gate) if not math.isnan(gap) else True
     if enforce_gate and not gate_passed:
         raise GateFailed(
@@ -194,20 +218,9 @@ def estimate_spike_empirical(
     ev = master.asymptotic_cos2(lam_q, G, rho_sq, kk, mm, S)
     s_x = min(max(1.0 - ev.cos2_x, 0.0), 1.0)
     s_y = min(max(1.0 - ev.cos2_y, 0.0), 1.0)
-    if swapped:
-        s_x, s_y = s_y, s_x
-    return SpikeReport(
-        index=q,
-        lam=lam_q,
-        rho_sq_hat=float(rho_sq),
-        rho_abs=math.sqrt(rho_sq),
-        theta_x_deg=wachter.theta_degrees(s_x),
-        theta_y_deg=wachter.theta_degrees(s_y),
-        sin2_x=float(s_x),
-        sin2_y=float(s_y),
-        method="empirical-G",
-        gate_passed=gate_passed,
-        gap=gap,
+    return _spike_report(
+        q, lam_q, rho_sq, s_x, s_y, swapped=swapped,
+        method="empirical-G", gate_passed=gate_passed, gap=gap,
     )
 
 
@@ -233,55 +246,48 @@ def analyze(
 ) -> AnalysisReport:
     """Full pipeline: CCA, spike detection, both estimators, histogram.
 
-    Dimension-regime violations and per-spike estimation failures become
-    notes on the report instead of exceptions.
+    Dimension-regime violations, gate failures and per-spike estimation
+    failures become notes on the report instead of exceptions or warnings.
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    U, V = _panels(U, V, demean)
+    K, S = U.shape
+    M = V.shape[0]
     notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = sample_cca(U, V, demean=demean)
-        notes.extend(str(w.message) for w in caught)
-    lam = result.correlations_sq
+    regime_note = _regime_note(K, M, S)
+    if regime_note is not None:
+        notes.append(regime_note)
+    lam = _cca(U, V).correlations_sq
 
     regime = None
     try:
-        regime = wachter.regime_from_dims(U.shape[0], V.shape[0], U.shape[1])
+        regime = wachter.regime_from_dims(K, M, S)
     except DimensionError as exc:
         notes.append(f"dimension regime violated: {exc}")
 
-    spike_idx: list[int] = []
+    detected: list[tuple[int, float, bool]] = []
     if regime is not None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spike_idx = detect_spikes(result, regime, gate_multiplier)
-            notes.extend(str(w.message) for w in caught)
+        detected, failures = _walk_spikes(lam, regime, gate_multiplier)
+        notes.extend(failures)
+    n_spikes = len(detected)  # the spikes are the leading correlations
 
-    tied = False
-    if len(spike_idx) >= 2:
-        spike_lams = lam[spike_idx]
-        tied = bool(np.any(np.abs(np.diff(spike_lams)) < _TIE_TOL))
-        if tied:
-            notes.append(
-                "tied spike correlations (within 1e-10): per-spike estimation "
-                "needs distinct values and was skipped"
-            )
+    tied = bool(np.any(np.abs(np.diff(lam[:n_spikes])) < _TIE_TOL))
+    if tied:
+        notes.append(
+            "tied spike correlations (within 1e-10): per-spike estimation "
+            "needs distinct values and was skipped"
+        )
 
     spikes: list[SpikeReport] = []
     empirical_spikes: list[SpikeReport] = []
-    if regime is not None and not tied:
-        gate = gate_multiplier / math.sqrt(regime.S)
-        for i in spike_idx:
-            gap = _gap(lam, i, regime)
-            gate_passed = gap >= gate
+    if not tied:
+        for i, gap, gate_passed in detected:
             try:
                 spikes.append(
                     estimate_spike_closed_form(
                         lam[i], regime, index=i + 1, gap=gap, gate_passed=gate_passed
                     )
                 )
-            except (BelowEdge, HdccaError) as exc:
+            except HdccaError as exc:
                 notes.append(f"closed-form estimate failed at spike {i + 1}: {exc}")
             if empirical:
                 try:
@@ -289,9 +295,9 @@ def analyze(
                         estimate_spike_empirical(
                             lam,
                             i + 1,
-                            U.shape[0],
-                            V.shape[0],
-                            U.shape[1],
+                            K,
+                            M,
+                            S,
                             gate_multiplier=gate_multiplier,
                             enforce_gate=False,
                         )
@@ -301,7 +307,7 @@ def analyze(
                         f"empirical estimate failed at spike {i + 1}: {exc}"
                     )
 
-    bulk = np.delete(lam, spike_idx) if spike_idx else lam
+    bulk = lam[n_spikes:]
     if bulk.size == 0:
         bulk = lam
         notes.append("all correlations are above the edge; histogram uses them all")

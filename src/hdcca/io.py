@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,13 +63,20 @@ def _parse_cell(cell, row, col):
             f"missing value at row {row}, column {col}", row=row, column=col
         )
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(
             f"could not parse {text!r} at row {row}, column {col}",
             row=row,
             column=col,
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(
+            f"non-finite value {text!r} at row {row}, column {col}",
+            row=row,
+            column=col,
+        )
+    return value
 
 
 def _is_numeric_row(cells):
@@ -88,6 +96,8 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     first row is skipped as a header.  ``rows-are-samples``: each row is one
     observation; an optional header row holds the variable labels.  When
     ``demean`` is set, each variable's mean across samples is removed.
+    Empty, non-numeric or non-finite cells, ragged rows and files without a
+    numeric column raise ParseError (MissingValue for empty cells).
     """
     if orientation not in ("rows-are-variables", "rows-are-samples"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -122,6 +132,8 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
         data.append(
             [_parse_cell(c, r_idx, c_idx + 1) for c_idx, c in enumerate(cells)]
         )
+    if width == 0:
+        raise ParseError(f"{path} has labels but no numeric columns")
     values = np.asarray(data, dtype=float)
 
     if orientation == "rows-are-samples":

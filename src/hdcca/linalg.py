@@ -11,7 +11,7 @@ correlations as well.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +23,6 @@ from .errors import (
     SingularCovariance,
     ZeroVector,
 )
-
-_TIE_TOL = 1e-10
 
 
 @dataclass
@@ -46,7 +44,6 @@ class CcaResult:
     left_variables: np.ndarray
     right_variables: np.ndarray
     swapped: bool = False
-    ties: bool = field(default=False)
 
     @property
     def n_correlations(self) -> int:
@@ -86,6 +83,54 @@ def _solve_weights(R, B):
     return np.linalg.lstsq(R, B, rcond=None)[0]
 
 
+def _regime_note(K: int, M: int, S: int) -> str | None:
+    """Why the sample size is outside the recommended regime, or None."""
+    if S > K + M:
+        return None
+    return (
+        f"S={S} <= K+M={K + M}: {max(K + M - S, 0)} correlations are "
+        "forced to 1 and the remaining ones carry reduced information"
+    )
+
+
+def _panels(U, V, demean):
+    """Both panels as float arrays with a common sample count, de-meaned if asked."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    if U.shape[1] != V.shape[1]:
+        raise DimensionError(
+            f"sample counts differ: U has {U.shape[1]}, V has {V.shape[1]}"
+        )
+    if demean:
+        U = U - U.mean(axis=1, keepdims=True)
+        V = V - V.mean(axis=1, keepdims=True)
+    return U, V
+
+
+def _cca(U, V, cond_limit: float = 1e12) -> CcaResult:
+    """The CCA itself on prepared panels; raises on rank deficiency, never warns."""
+    Qu, Ru = _orthonormal_rows(U, cond_limit, "U")
+    Qv, Rv = _orthonormal_rows(V, cond_limit, "V")
+    A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
+    lam = np.clip(sigma**2, 0.0, 1.0)
+
+    left_w = _solve_weights(Ru, A).T           # rows: weight vectors in R^K
+    right_w = _solve_weights(Rv, Bt.T).T       # rows: weight vectors in R^M
+    left_v = (Qu @ A).T                        # rows: unit canonical variables
+    right_v = (Qv @ Bt.T).T
+    _fix_signs(left_w, left_v)
+    _fix_signs(right_w, right_v)
+
+    return CcaResult(
+        correlations_sq=lam,
+        left_weights=left_w,
+        right_weights=right_w,
+        left_variables=left_v,
+        right_variables=right_v,
+        swapped=U.shape[0] > V.shape[0],
+    )
+
+
 def sample_cca(U, V, *, demean: bool = False, cond_limit: float = 1e12) -> CcaResult:
     """Sample canonical correlations and variables between two row-data sets.
 
@@ -102,48 +147,14 @@ def sample_cca(U, V, *, demean: bool = False, cond_limit: float = 1e12) -> CcaRe
     Returns
     -------
     CcaResult
-        With ``min(K, M)`` correlations sorted descending.
+        With ``min(K, M)`` correlations sorted descending.  Warns
+        ``RegimeWarning`` when ``S <= K + M``.
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if U.shape[1] != V.shape[1]:
-        raise DimensionError(
-            f"sample counts differ: U has {U.shape[1]}, V has {V.shape[1]}"
-        )
-    if demean:
-        U = U - U.mean(axis=1, keepdims=True)
-        V = V - V.mean(axis=1, keepdims=True)
-    K, S = U.shape
-    M = V.shape[0]
-    if S <= K + M:
-        warnings.warn(
-            f"S={S} <= K+M={K + M}: {max(K + M - S, 0)} correlations are "
-            "forced to 1 and the remaining ones carry reduced information",
-            RegimeWarning,
-            stacklevel=2,
-        )
-    Qu, Ru = _orthonormal_rows(U, cond_limit, "U")
-    Qv, Rv = _orthonormal_rows(V, cond_limit, "V")
-    A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
-    lam = np.clip(sigma**2, 0.0, 1.0)
-
-    left_w = _solve_weights(Ru, A).T           # rows: weight vectors in R^K
-    right_w = _solve_weights(Rv, Bt.T).T       # rows: weight vectors in R^M
-    left_v = (Qu @ A).T                        # rows: unit canonical variables
-    right_v = (Qv @ Bt.T).T
-    _fix_signs(left_w, left_v)
-    _fix_signs(right_w, right_v)
-
-    ties = bool(np.any(np.abs(np.diff(lam)) < _TIE_TOL)) if lam.size > 1 else False
-    return CcaResult(
-        correlations_sq=lam,
-        left_weights=left_w,
-        right_weights=right_w,
-        left_variables=left_v,
-        right_variables=right_v,
-        swapped=K > M,
-        ties=ties,
-    )
+    U, V = _panels(U, V, demean)
+    note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
+    if note is not None:
+        warnings.warn(note, RegimeWarning, stacklevel=2)
+    return _cca(U, V, cond_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,8 @@ PRESETS: dict[str, Preset] = {
 }
 
 
-def build_spec(preset: Preset, seed: int | None = None, strengths=None) -> SimSpec:
+def build_spec(preset: Preset, seed: int | None = None) -> SimSpec:
     kwargs = dict(preset.spec_kwargs)
-    if strengths is not None:
-        kwargs["signal_strengths"] = tuple(strengths)
     if seed is not None:
         kwargs["seed"] = seed
     return SimSpec(**kwargs)

@@ -269,6 +269,25 @@ class McSummary:
         return np.array([wachter.theta_degrees(p.s_y) for p in self.theory])
 
 
+def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
+    """Limiting prediction per signal of ``spec``, strongest first.
+
+    At or below the detection cutoff a signal leaves no spike: its location
+    is the bulk edge and both angles are 90 degrees (squared sines of 1).
+    """
+    regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
+    predictions = []
+    for r in spec.signal_strengths:
+        rho_sq = r * r
+        if rho_sq > regime.rho_c_sq:
+            predictions.append(wachter.spike_prediction(rho_sq, regime))
+        else:
+            predictions.append(
+                wachter.SpikePrediction(rho_sq, regime.lambda_plus, 1.0, 1.0)
+            )
+    return predictions
+
+
 def _one_replication(spec, rep):
     U, V, truth = gen_data(spec, rep)
     res = sample_cca(U, V)
@@ -299,16 +318,7 @@ def mc_angles(spec: SimSpec, replications: int, *, max_workers: int | None = Non
     if spec.n_signals == 0:
         raise SpecError("mc_angles needs at least one signal")
     workers = default_workers() if max_workers is None else max(1, max_workers)
-    regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
-    theory = []
-    for r in spec.signal_strengths:
-        rho_sq = r * r
-        if rho_sq > regime.rho_c_sq:
-            theory.append(wachter.spike_prediction(rho_sq, regime))
-        else:
-            theory.append(
-                wachter.SpikePrediction(rho_sq, regime.lambda_plus, 1.0, 1.0)
-            )
+    predictions = theory(spec)
 
     q = spec.n_signals
     theta_x = np.empty((replications, q))
@@ -331,7 +341,7 @@ def mc_angles(spec: SimSpec, replications: int, *, max_workers: int | None = Non
         theta_x=theta_x,
         theta_y=theta_y,
         lambdas=lambdas,
-        theory=theory,
+        theory=predictions,
     )
 
 

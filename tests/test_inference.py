@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,19 @@ from hdcca.wachter import regime_from_dims, rho2_from_z, z_from_rho2
 LIMESTONE_LAMBDAS = np.array([0.83, 0.52, 0.36, 0.11, 0.09, 0.04])
 LIMESTONE_REGIME = regime_from_dims(6, 8, 45)
 STOCKS_REGIME = regime_from_dims(80, 80, 521)
+
+
+def _limestone_panels():
+    """6 x 45 and 8 x 45 panels whose squared correlations are exactly
+    LIMESTONE_LAMBDAS; the one spike fails the gate."""
+    U = np.zeros((6, 45))
+    V = np.zeros((8, 45))
+    for i, lam in enumerate(LIMESTONE_LAMBDAS):
+        U[i, i] = 1.0
+        V[i, i] = np.sqrt(lam)
+        V[i, 6 + i] = np.sqrt(1.0 - lam)
+    V[6, 12] = V[7, 13] = 1.0
+    return U, V
 
 
 class TestDetectSpikes:
@@ -36,8 +53,6 @@ class TestDetectSpikes:
 
     def test_gate_multiplier_zero_disables_warnings(self):
         lam = np.array([0.89, 0.62, 0.58, 0.50])
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             idx = detect_spikes(lam, STOCKS_REGIME, gate_multiplier=0.0)
@@ -195,10 +210,44 @@ class TestAnalyze:
         rng = seeded_rng(18)
         U = rng.standard_normal((10, 25))
         V = rng.standard_normal((20, 25))
-        report = analyze(U, V)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(U, V)
         assert report.regime is None
         assert any("regime" in n for n in report.notes)
         assert report.spikes == []
+
+    def test_concurrent_calls_keep_their_notes(self):
+        # notes are computed values, so threads interleaving inside analyze
+        # cannot lose or swap them
+        rng = seeded_rng(18)
+        violated = (rng.standard_normal((10, 25)), rng.standard_normal((20, 25)))
+        gated = _limestone_panels()
+        expected = {id(p): analyze(*p).notes for p in (violated, gated)}
+        assert [len(n) for n in expected.values()] == [2, 1]
+        mismatches = []
+
+        def worker(panels):
+            for _ in range(300):
+                notes = analyze(*panels).notes
+                if notes != expected[id(panels)]:
+                    mismatches.append(notes)
+
+        threads = [
+            threading.Thread(target=worker, args=(p,))
+            for p in (violated, violated, gated, gated)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     def test_monotone_strength_within_analysis(self):
         spec = SimSpec(

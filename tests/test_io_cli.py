@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,13 @@ from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
 from hdcca.io import (
     SPIKE_COLUMNS,
     check_joint_samples,
+    fmt,
     load_csv,
     parse_sim_config,
     write_sim_config,
 )
-from hdcca.simulate import SimSpec
+from hdcca.presets import PRESETS, build_spec
+from hdcca.simulate import SimSpec, mc_angles
 
 
 def write_matrix_csv(path, values, header=None, labels=None):
@@ -90,10 +94,18 @@ class TestLoadCsv:
 
     def test_parse_error_location(self, tmp_path):
         p = tmp_path / "m.csv"
-        p.write_text("1.0,2.0\n3.0,oops\n")
-        with pytest.raises(ParseError) as info:
-            load_csv(p)
-        assert info.value.row == 2 and info.value.column == 2
+        for cell in ("oops", "inf", "-inf", "infinity", "1e999"):
+            p.write_text(f"1.0,2.0\n3.0,{cell}\n")
+            with pytest.raises(ParseError) as info:
+                load_csv(p)
+            assert info.value.row == 2 and info.value.column == 2, cell
+
+    def test_labels_without_samples(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("name\na\nb\n")
+        for orientation in ("rows-are-variables", "rows-are-samples"):
+            with pytest.raises(ParseError):
+                load_csv(p, orientation=orientation)
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -190,6 +202,21 @@ class TestCliAnalyze:
         write_matrix_csv(v_csv, np.ones((2, 6)))
         assert main(["analyze", str(u_csv), str(v_csv)]) == 2
 
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        U, V = rng.standard_normal((4, 50)), rng.standard_normal((5, 50))
+        U[2, 7] = np.inf
+        code, _ = self.run_panels(tmp_path, U, V)
+        assert code == 2
+        assert "row 3, column 8" in capsys.readouterr().err
+
+    def test_label_only_panel_exit_2(self, tmp_path):
+        u_csv, v_csv = tmp_path / "u.csv", tmp_path / "v.csv"
+        u_csv.write_text("a\nb\nc\n")
+        write_matrix_csv(v_csv, np.ones((2, 5)))
+        assert main(["analyze", str(u_csv), str(v_csv)]) == 2
+        assert main(["pca", str(u_csv), "--out-dir", str(tmp_path)]) == 2
+
     def test_collinear_rows_exit_4(self, tmp_path):
         rng = np.random.default_rng(5)
         U = rng.standard_normal((4, 50))
@@ -226,6 +253,25 @@ class TestCliSimulate:
             "rho_sq", "theta_theory", "theta_mean", "band_lo", "band_hi"
         }
 
+    def test_rho_grid_keeps_every_spec_field(self, tmp_path):
+        spec = SimSpec(
+            K=10, M=15, S=120, signal_strengths=(0.6,), signal_mode="rotated-pair",
+            mix=True, signal_cov_scale=(2.0,), seed=4,
+        )
+        grid = (0.5, 0.8)
+        cfg = tmp_path / "spec.cfg"
+        write_sim_config(cfg, spec, extras={"replications": 3, "rho_grid": grid})
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
+        with (out / "theta_x_curve.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["rho_sq"] for r in rows] == [fmt(g) for g in grid]
+        for idx, (row, rho_sq) in enumerate(zip(rows, grid)):
+            point = replace(
+                spec, signal_strengths=(math.sqrt(rho_sq),), seed=spec.seed + idx
+            )
+            assert row["theta_mean"] == fmt(mc_angles(point, 3).mean_theta_x[0])
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["simulate", "--preset", "nope", "--out-dir", str(tmp_path)]) == 2
 
@@ -248,7 +294,9 @@ class TestCliSimulate:
 
 
 class TestShippedPresets:
-    def test_all_config_files_parse(self):
+    def test_all_config_files_parse(self, tmp_path):
+        # each shipped file is exactly what its built-in preset writes, and
+        # every preset that simulates has one
         cfg_dir = Path(__file__).resolve().parent.parent / "presets"
         files = sorted(cfg_dir.glob("*.cfg"))
         assert len(files) >= 8
@@ -256,10 +304,20 @@ class TestShippedPresets:
             spec, extras = parse_sim_config(cfg)
             assert spec.S > spec.K + spec.M
             assert set(extras) <= {"replications", "rho_grid"}
+            preset = PRESETS[cfg.stem]
+            harness = {}
+            if preset.replications != 1:
+                harness["replications"] = preset.replications
+            if preset.rho_grid:
+                harness["rho_grid"] = preset.rho_grid
+            expected = tmp_path / cfg.name
+            write_sim_config(expected, build_spec(preset), harness)
+            assert cfg.read_bytes() == expected.read_bytes(), cfg.name
+        assert {f.stem for f in files} == {
+            p.name for p in PRESETS.values() if p.kind != "theory-curve"
+        }
 
     def test_builtin_presets_build(self):
-        from hdcca.presets import PRESETS, build_spec
-
         for preset in PRESETS.values():
             if preset.kind in ("single-run", "mc"):
                 build_spec(preset, seed=0)
