@@ -25,8 +25,8 @@ from .errors import (
     ShapeMismatch,
     SpecError,
 )
-from .inference import analyze
-from .linalg import angle_between, pca_spectrum, sample_cca
+from .inference import _analyze_correlations, analyze
+from .linalg import _cca, _factor, angle_between, pca_spectrum, sample_cca
 from .presets import PRESETS, build_spec
 from .simulate import gen_data, mc_angles, seeded_rng, theory
 
@@ -127,11 +127,11 @@ def _write_angles_csv(path, rows):
 
 def _run_single(spec, out):
     U, V, truth = gen_data(spec)
-    report = analyze(U, V)
+    res = _cca(U, V)
+    report = _analyze_correlations(res.correlations_sq, spec.K, spec.M, spec.S)
     _write_tables(out, report, report.spikes)
     if spec.n_signals:
-        predictions = theory(spec)  # raises DimensionError before the CCA
-        res = sample_cca(U, V)
+        predictions = theory(spec)  # raises DimensionError before the angles
         rows = []
         for q, pred in enumerate(predictions):
             sim_x = angle_between(truth.x[q], res.left_variables[q]).degrees
@@ -261,7 +261,7 @@ def cmd_master_check(args) -> int:
     lam = res.correlations_sq
     root_err = float(np.max(np.abs(np.sort(roots) - np.sort(lam))))
 
-    y = np.sort(sample_cca(U_sub, V).correlations_sq)[::-1]
+    y = np.sort(_factor(U_sub, V)[0])[::-1]
     c2 = inputs.poles()
     tol = 1e-9
     interlaced = all(

@@ -31,7 +31,7 @@ from .errors import (
     HdccaError,
     PoleProximity,
 )
-from .linalg import CcaResult, _cca, _panels, _regime_note
+from .linalg import CcaResult, _factor, _panels, _regime_note
 
 _TIE_TOL = 1e-10
 OVERLAY_POINTS = 512
@@ -248,15 +248,24 @@ def analyze(
 
     Dimension-regime violations, gate failures and per-spike estimation
     failures become notes on the report instead of exceptions or warnings.
+    Raises DimensionError for an empty panel, ValueError for a non-finite entry.
     """
     U, V = _panels(U, V, demean)
-    K, S = U.shape
-    M = V.shape[0]
+    lam = _factor(U, V)[0]
+    return _analyze_correlations(
+        lam, U.shape[0], V.shape[0], U.shape[1],
+        gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
+    )
+
+
+def _analyze_correlations(
+    lam, K, M, S, *, gate_multiplier=5.0, bins=None, empirical=True
+) -> AnalysisReport:
+    """``analyze`` from the squared correlations ``lam`` of K x S and M x S panels."""
     notes: list[str] = []
     regime_note = _regime_note(K, M, S)
     if regime_note is not None:
         notes.append(regime_note)
-    lam = _cca(U, V).correlations_sq
 
     regime = None
     try:

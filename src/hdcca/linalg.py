@@ -45,12 +45,11 @@ class CcaResult:
     right_variables: np.ndarray
     swapped: bool = False
 
-    @property
-    def n_correlations(self) -> int:
-        return self.correlations_sq.shape[0]
+
+_COND_LIMIT = 1e12   # largest tolerated condition number of a Gram matrix
 
 
-def _orthonormal_rows(X, cond_limit, name):
+def _orthonormal_rows(X, name):
     """QR of X^T; returns (Q with orthonormal columns, R) and rank-checks."""
     Q, R = np.linalg.qr(X.T)
     diag = np.abs(np.diag(R))
@@ -58,10 +57,10 @@ def _orthonormal_rows(X, cond_limit, name):
         raise RankDeficient(f"{name} has exactly collinear rows")
     # cond(R)^2 approximates the condition number of the Gram matrix X X^T
     cond = np.linalg.cond(R)
-    if cond * cond > cond_limit:
+    if cond * cond > _COND_LIMIT:
         raise RankDeficient(
             f"{name} rows are numerically collinear "
-            f"(Gram condition ~{cond * cond:.2e} > {cond_limit:.0e})"
+            f"(Gram condition ~{cond * cond:.2e} > {_COND_LIMIT:.0e})"
         )
     return Q, R
 
@@ -94,9 +93,16 @@ def _regime_note(K: int, M: int, S: int) -> str | None:
 
 
 def _panels(U, V, demean):
-    """Both panels as float arrays with a common sample count, de-meaned if asked."""
+    """Both panels as float arrays with a common sample count, de-meaned if asked;
+    DimensionError for an empty panel, ValueError for a non-finite entry."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
+    for name, X in (("U", U), ("V", V)):
+        if X.size == 0:
+            raise DimensionError(f"{name} has no rows or no samples: shape {X.shape}")
+        # min and max propagate nan and inf without a boolean copy of the panel
+        if not (np.isfinite(X.min()) and np.isfinite(X.max())):
+            raise ValueError(f"{name} has non-finite entries")
     if U.shape[1] != V.shape[1]:
         raise DimensionError(
             f"sample counts differ: U has {U.shape[1]}, V has {V.shape[1]}"
@@ -107,20 +113,29 @@ def _panels(U, V, demean):
     return U, V
 
 
-def _cca(U, V, cond_limit: float = 1e12) -> CcaResult:
-    """The CCA itself on prepared panels; raises on rank deficiency, never warns."""
-    Qu, Ru = _orthonormal_rows(U, cond_limit, "U")
-    Qv, Rv = _orthonormal_rows(V, cond_limit, "V")
+def _factor(U, V):
+    """Squared canonical correlations (descending) and each side's ``(Q, R, A)``:
+    thin QR factors and the singular vectors of ``Qu^T Qv`` as columns."""
+    Qu, Ru = _orthonormal_rows(U, "U")
+    Qv, Rv = _orthonormal_rows(V, "V")
     A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
     lam = np.clip(sigma**2, 0.0, 1.0)
+    return lam, (Qu, Ru, A), (Qv, Rv, Bt.T)
 
-    left_w = _solve_weights(Ru, A).T           # rows: weight vectors in R^K
-    right_w = _solve_weights(Rv, Bt.T).T       # rows: weight vectors in R^M
-    left_v = (Qu @ A).T                        # rows: unit canonical variables
-    right_v = (Qv @ Bt.T).T
-    _fix_signs(left_w, left_v)
-    _fix_signs(right_w, right_v)
 
+def _recover(Q, R, A):
+    """Weight vectors and unit canonical variables of one side, one row each."""
+    weights = _solve_weights(R, A).T
+    variables = (Q @ A).T
+    _fix_signs(weights, variables)
+    return weights, variables
+
+
+def _cca(U, V) -> CcaResult:
+    """The CCA itself on prepared panels; raises on rank deficiency, never warns."""
+    lam, left, right = _factor(U, V)
+    left_w, left_v = _recover(*left)
+    right_w, right_v = _recover(*right)
     return CcaResult(
         correlations_sq=lam,
         left_weights=left_w,
@@ -131,30 +146,29 @@ def _cca(U, V, cond_limit: float = 1e12) -> CcaResult:
     )
 
 
-def sample_cca(U, V, *, demean: bool = False, cond_limit: float = 1e12) -> CcaResult:
+def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
     """Sample canonical correlations and variables between two row-data sets.
 
     Parameters
     ----------
     U, V : (K, S) and (M, S) arrays
-        Variables in rows, samples in columns.
+        Variables in rows, samples in columns; every entry finite.
     demean : bool
         Subtract the per-row mean across samples first.  Off by default;
         ingestion paths de-mean at load time instead.
-    cond_limit : float
-        Maximum tolerated condition number of either Gram matrix.
 
     Returns
     -------
     CcaResult
         With ``min(K, M)`` correlations sorted descending.  Warns
-        ``RegimeWarning`` when ``S <= K + M``.
+        ``RegimeWarning`` when ``S <= K + M``.  Raises ``RankDeficient``
+        when either Gram matrix has condition number above 1e12.
     """
     U, V = _panels(U, V, demean)
     note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
     if note is not None:
         warnings.warn(note, RegimeWarning, stacklevel=2)
-    return _cca(U, V, cond_limit)
+    return _cca(U, V)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +265,7 @@ class CanonicalBasis:
         return np.concatenate([self.cosines, np.zeros(extra)])
 
 
-def canonical_bases(U_sub, V_sub, *, cond_limit: float = 1e12) -> CanonicalBasis:
+def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
     """Aligned orthonormal bases for the row spaces of two matrices.
 
     Requires ``U_sub`` to have at most as many rows as ``V_sub``.  The cosines
@@ -266,8 +280,8 @@ def canonical_bases(U_sub, V_sub, *, cond_limit: float = 1e12) -> CanonicalBasis
         )
     if U_sub.shape[1] != V_sub.shape[1]:
         raise DimensionError("ambient dimensions differ")
-    Qu, _ = _orthonormal_rows(U_sub, cond_limit, "U_sub")
-    Qv, _ = _orthonormal_rows(V_sub, cond_limit, "V_sub")
+    Qu, _ = _orthonormal_rows(U_sub, "U_sub")
+    Qv, _ = _orthonormal_rows(V_sub, "V_sub")
     A, sigma, Bt = np.linalg.svd(Qu.T @ Qv)  # full: all of the larger side
     return CanonicalBasis(
         u_basis=(Qu @ A).T,

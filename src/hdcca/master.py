@@ -39,6 +39,8 @@ from .errors import (
 from .linalg import CanonicalBasis, canonical_bases
 
 _DUP_TOL = 1e-12
+_POLE_TOL = 1e-9    # relative distance below which z counts as on a pole
+_MAX_MESH = 4096    # finest scan mesh per pole interval
 
 
 @dataclass
@@ -131,6 +133,8 @@ class MasterInputs:
 
 
 class _Terms(NamedTuple):
+    """The secular sums at one ``z`` (floats) or along a 1-D array of ``z``."""
+
     t1: float
     u2: float   # z * T2, computed without the removable 1/z pole
     t3: float
@@ -139,10 +143,20 @@ class _Terms(NamedTuple):
     d_t3: float
     t1_scale: float
 
+    @property
+    def residual(self):
+        """``T1^2 - z T2 T3``: zero exactly at a squared canonical correlation."""
+        return self.t1 * self.t1 - self.u2 * self.t3
 
-def _terms(inputs: MasterInputs, z: float) -> _Terms:
+    @property
+    def d_residual(self):
+        return 2.0 * self.t1 * self.d_t1 - self.d_u2 * self.t3 - self.u2 * self.d_t3
+
+
+def _terms(inputs: MasterInputs, z) -> _Terms:
     """The three bracketed sums of the secular identity and their z-derivatives.
 
+    ``z`` is a scalar or a 1-D array; the sums run over the last axis.
     Contributions from zero cosines (the unpaired directions of the larger
     side) are z-independent after the factors of z cancel, so they are folded
     in as constants; this keeps the evaluation finite at z = 0.
@@ -154,17 +168,18 @@ def _terms(inputs: MasterInputs, z: float) -> _Terms:
     vsu, vsv = inputs.v_star_u, inputs.v_star_v
     usu_pad = np.concatenate([usu, np.zeros(c.shape[0] - km1)])
     vsu_pad = np.concatenate([vsu, np.zeros(c.shape[0] - km1)])
+    zc = np.asarray(z, dtype=float)[..., None]
 
     jm = c2 > 0.0
     cj, cj2 = c[jm], c2[jm]
-    inv_j = 1.0 / (z - cj2)
-    w_j = z * inv_j
+    inv_j = 1.0 / (zc - cj2)
+    w_j = zc * inv_j
     dinv_j = -inv_j * inv_j
     dw_j = inv_j * (1.0 - w_j)
 
     ci, ci2 = c[:km1], c2[:km1]
-    inv_i = 1.0 / (z - ci2)
-    w_i = z * inv_i
+    inv_i = 1.0 / (zc - ci2)
+    w_i = zc * inv_i
     dinv_i = -inv_i * inv_i
     dw_i = inv_i * (1.0 - w_i)
 
@@ -176,59 +191,44 @@ def _terms(inputs: MasterInputs, z: float) -> _Terms:
     t1_a = cj * usv[jm] * vsu_pad[jm]
     t1_b = usv[jm] * vsv[jm]
     t1_c = usu * (vsu - ci * vsv[:km1])
-    t1 = (
-        inputs.uv_star
-        + float(t1_a @ inv_j)
-        - float(t1_b @ w_j)
-        + const_t1
-        - float(t1_c @ w_i)
-    )
-    d_t1 = float(t1_a @ dinv_j) - float(t1_b @ dw_j) - float(t1_c @ dw_i)
+    t1 = inputs.uv_star + inv_j @ t1_a - w_j @ t1_b + const_t1 - w_i @ t1_c
+    d_t1 = dinv_j @ t1_a - dw_j @ t1_b - dw_i @ t1_c
     t1_scale = (
         abs(inputs.uv_star)
-        + float(np.abs(t1_a * inv_j).sum())
-        + float(np.abs(t1_b * w_j).sum())
+        + np.abs(t1_a * inv_j).sum(axis=-1)
+        + np.abs(t1_b * w_j).sum(axis=-1)
         + abs(const_t1)
-        + float(np.abs(t1_c * w_i).sum())
+        + np.abs(t1_c * w_i).sum(axis=-1)
     )
 
     u2_a = usv[jm] ** 2 - 2.0 * cj * usv[jm] * usu_pad[jm]
     u2_b = usu * usu
-    u2 = -z * inputs.uu_star + float(u2_a @ w_j) + const_u2 + z * float(u2_b @ w_i)
-    d_u2 = -inputs.uu_star + float(u2_a @ dw_j) + float(u2_b @ (w_i + z * dw_i))
+    u2 = -z * inputs.uu_star + w_j @ u2_a + const_u2 + z * (w_i @ u2_b)
+    d_u2 = -inputs.uu_star + dw_j @ u2_a + (w_i + zc * dw_i) @ u2_b
 
     t3_a = vsu * vsu - 2.0 * ci * vsu * vsv[:km1]
     t3_b = vsv[jm] ** 2
-    t3 = -inputs.vv_star + float(t3_a @ inv_i) + float(t3_b @ w_j) + const_t3
-    d_t3 = float(t3_a @ dinv_i) + float(t3_b @ dw_j)
+    t3 = -inputs.vv_star + inv_i @ t3_a + w_j @ t3_b + const_t3
+    d_t3 = dinv_i @ t3_a + dw_j @ t3_b
 
     return _Terms(t1, u2, t3, d_t1, d_u2, d_t3, t1_scale)
 
 
-def _guard_poles(inputs: MasterInputs, z: float, tol: float) -> None:
-    poles = inputs.poles()
-    if poles.size and np.min(np.abs(z - poles)) <= tol * (1.0 + abs(z)):
-        raise PoleProximity(
-            f"z={z} is within {tol * (1.0 + abs(z)):.2e} of a noise-cosine pole"
-        )
+def _guard_poles(inputs: MasterInputs, z: float) -> None:
+    tol = _POLE_TOL * (1.0 + abs(z))
+    if np.any(np.abs(z - inputs.poles()) <= tol):
+        raise PoleProximity(f"z={z} is within {tol:.2e} of a noise-cosine pole")
 
 
-def master_residual(z: float, inputs: MasterInputs, *, pole_tol: float = 1e-9) -> float:
+def master_residual(z: float, inputs: MasterInputs) -> float:
     """Secular residual; zero exactly when z is a squared canonical
-    correlation of the enlarged subspace pair."""
-    _guard_poles(inputs, z, pole_tol)
-    t = _terms(inputs, z)
-    return t.t1 * t.t1 - t.u2 * t.t3
+    correlation of the enlarged subspace pair.  Raises PoleProximity within
+    a relative 1e-9 of a noise-cosine pole."""
+    _guard_poles(inputs, z)
+    return float(_terms(inputs, z).residual)
 
 
-def _residual_and_deriv(inputs, z):
-    t = _terms(inputs, z)
-    val = t.t1 * t.t1 - t.u2 * t.t3
-    dval = 2.0 * t.t1 * t.d_t1 - t.d_u2 * t.t3 - t.u2 * t.d_t3
-    return val, dval
-
-
-def _bisect(f, a, b, fa, fb, iters=200):
+def _bisect(f, a, b, fa, iters=200):
     for _ in range(iters):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
@@ -239,17 +239,17 @@ def _bisect(f, a, b, fa, fb, iters=200):
         if np.sign(fm) == np.sign(fa):
             a, fa = mid, fm
         else:
-            b, fb = mid, fm
+            b = mid
     return 0.5 * (a + b)
 
 
 def _newton_polish(inputs, z, lo, hi, steps=12):
     for _ in range(steps):
-        val, dval = _residual_and_deriv(inputs, z)
+        t = _terms(inputs, z)
+        dval = t.d_residual
         if dval == 0.0:
             break
-        step = val / dval
-        z_new = z - step
+        z_new = z - t.residual / dval
         if not (lo < z_new < hi):
             break
         if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
@@ -300,7 +300,7 @@ def _deflate_decoupled_pairs(inputs: MasterInputs):
     return reduced, direct
 
 
-def master_roots(inputs: MasterInputs, *, max_mesh: int = 4096) -> np.ndarray:
+def master_roots(inputs: MasterInputs) -> np.ndarray:
     """All K squared canonical correlations of the enlarged pair, descending.
 
     Each open interval between consecutive noise poles can hold zero, one or
@@ -335,10 +335,6 @@ def master_roots(inputs: MasterInputs, *, max_mesh: int = 4096) -> np.ndarray:
     uppers = [1.0] + distinct
     lowers = distinct + [0.0]
 
-    def f(z):
-        t = _terms(inputs, z)
-        return t.t1 * t.t1 - t.u2 * t.t3
-
     roots: list[float] = []
     n_mesh = 32
     while True:
@@ -351,13 +347,13 @@ def master_roots(inputs: MasterInputs, *, max_mesh: int = 4096) -> np.ndarray:
             a = lo + (pad if lo > 0.0 else 0.0)
             b = hi - (pad if hi < 1.0 else 0.0)
             grid = np.concatenate([[a], _graded_mesh(a, b, n_mesh), [b]])
-            vals = np.array([f(g) for g in grid])
+            vals = _terms(inputs, grid).residual
             ok = np.isfinite(vals)
             grid, vals = grid[ok], vals[ok]
             signs = np.sign(vals)
             for idx in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
                 g0, g1 = grid[idx], grid[idx + 1]
-                z = _bisect(f, g0, g1, vals[idx], vals[idx + 1])
+                z = _bisect(lambda x: _terms(inputs, x).residual, g0, g1, vals[idx])
                 z = _newton_polish(inputs, z, g0, g1)
                 roots.append(min(max(z, 0.0), 1.0))
             roots.extend(grid[vals == 0.0].tolist())
@@ -376,7 +372,7 @@ def master_roots(inputs: MasterInputs, *, max_mesh: int = 4096) -> np.ndarray:
                 break
             if not any(abs(r - d) <= 1e-8 * (1.0 + d) for r in merged):
                 merged.append(float(d))
-        if len(merged) == K or n_mesh >= max_mesh:
+        if len(merged) == K or n_mesh >= _MAX_MESH:
             break
         n_mesh *= 4
     if len(merged) != K:
@@ -405,30 +401,30 @@ def _q_ratios(inputs: MasterInputs, z: float):
     return t2 / t.t1, t.t3 / t.t1
 
 
-def master_vector_stats(
-    z: float, inputs: MasterInputs, *, pole_tol: float = 1e-9
-) -> VectorStats:
-    """Squared signal loadings and |cosines| of the canonical variables at a
-    verified root z against the adjoined vectors."""
+def _vector_solution(z: float, inputs: MasterInputs, what: str):
+    """Statistics and coefficient pieces of the canonical pair at root z.
+
+    Returns ``(stats, q_a, d_vec, inv_i, e_vec, inv_j)``: alpha's noise
+    coefficients are ``alpha_0 d_vec inv_i`` and beta's ``beta_0 e_vec inv_j``.
+    """
     if z <= 0.0:
-        raise PoleProximity("vector statistics need a strictly positive root")
-    _guard_poles(inputs, z, pole_tol)
+        raise PoleProximity(f"{what} need a strictly positive root")
+    _guard_poles(inputs, z)
     q_a, q_b = _q_ratios(inputs, z)
     km1 = inputs.K - 1
     c = inputs.cosines
     ci = c[:km1]
     inv_i = 1.0 / (z - ci * ci)
     usu, vsu = inputs.u_star_u, inputs.v_star_u
-    usv_i, vsv_i = inputs.u_star_v[:km1], inputs.v_star_v[:km1]
+    usv, vsv = inputs.u_star_v, inputs.v_star_v
 
-    d_vec = ci * usv_i - z * usu - z * q_a * (vsu - ci * vsv_i)
+    d_vec = ci * usv[:km1] - z * usu - z * q_a * (vsu - ci * vsv[:km1])
     inv_a0 = float(
         inputs.uu_star + 2.0 * (usu * d_vec) @ inv_i + (d_vec * d_vec) @ inv_i**2
     )
     num_x = float(inputs.uu_star + (usu * d_vec) @ inv_i)
 
     inv_j = 1.0 / (z - c * c)
-    usv, vsv = inputs.u_star_v, inputs.v_star_v
     usu_pad = np.concatenate([usu, np.zeros(c.shape[0] - km1)])
     vsu_pad = np.concatenate([vsu, np.zeros(c.shape[0] - km1)])
     e_vec = -z * q_b * (usv - c * usu_pad) + c * vsu_pad - z * vsv
@@ -443,36 +439,27 @@ def master_vector_stats(
     beta0_sq = 1.0 / inv_b0
     cos_x = abs(num_x) * np.sqrt(alpha0_sq / inputs.uu_star)
     cos_y = abs(num_y) * np.sqrt(beta0_sq / inputs.vv_star)
-    return VectorStats(alpha0_sq, beta0_sq, float(cos_x), float(cos_y))
+    stats = VectorStats(alpha0_sq, beta0_sq, float(cos_x), float(cos_y))
+    return stats, q_a, d_vec, inv_i, e_vec, inv_j
 
 
-def master_vector_coeffs(z: float, inputs: MasterInputs, *, pole_tol: float = 1e-9):
+def master_vector_stats(z: float, inputs: MasterInputs) -> VectorStats:
+    """Squared signal loadings and |cosines| of the canonical variables at a
+    verified root z against the adjoined vectors."""
+    return _vector_solution(z, inputs, "vector statistics")[0]
+
+
+def master_vector_coeffs(z: float, inputs: MasterInputs):
     """Full coefficient vectors (alpha, beta) of the canonical pair at root z.
 
     alpha combines (u*, u_1, ..., u_{K-1}); beta combines
     (v*, v_1, ..., v_{M-1}).  Both give unit-norm canonical variables; the
     overall sign is fixed by alpha_0 > 0.
     """
-    if z <= 0.0:
-        raise PoleProximity("coefficients need a strictly positive root")
-    _guard_poles(inputs, z, pole_tol)
-    q_a, q_b = _q_ratios(inputs, z)
-    stats = master_vector_stats(z, inputs, pole_tol=pole_tol)
-    km1 = inputs.K - 1
-    c = inputs.cosines
-    ci = c[:km1]
-    inv_i = 1.0 / (z - ci * ci)
-    inv_j = 1.0 / (z - c * c)
-    usu, vsu = inputs.u_star_u, inputs.v_star_u
-    usv, vsv = inputs.u_star_v, inputs.v_star_v
-    usu_pad = np.concatenate([usu, np.zeros(c.shape[0] - km1)])
-    vsu_pad = np.concatenate([vsu, np.zeros(c.shape[0] - km1)])
-
+    stats, q_a, d_vec, inv_i, e_vec, inv_j = _vector_solution(z, inputs, "coefficients")
     alpha0 = float(np.sqrt(stats.alpha0_sq))
-    d_vec = ci * usv[:km1] - z * usu - z * q_a * (vsu - ci * vsv[:km1])
     alpha = np.concatenate([[alpha0], alpha0 * d_vec * inv_i])
     beta0 = -alpha0 * np.sqrt(z) * q_a
-    e_vec = -z * q_b * (usv - c * usu_pad) + c * vsu_pad - z * vsv
     beta = np.concatenate([[beta0], beta0 * e_vec * inv_j])
     return alpha, beta
 
@@ -551,7 +538,7 @@ def pca_master(lambda_star: float, noise_singulars, overlaps):
                 # no root in this slot (can happen only at the closed bottom
                 # interval when f(0) > 0 and no crossing occurs)
                 continue
-            roots.append(_bisect(fval, a, b, fa, fb))
+            roots.append(_bisect(fval, a, b, fa))
 
     a_roots = np.sort(np.array(roots + degenerate))[::-1]
     alpha0 = np.zeros_like(a_roots)

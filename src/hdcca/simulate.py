@@ -262,12 +262,6 @@ class McSummary:
         self.band_x = np.percentile(self.theta_x, [2.5, 97.5], axis=0)
         self.band_y = np.percentile(self.theta_y, [2.5, 97.5], axis=0)
 
-    def theory_theta_x(self) -> np.ndarray:
-        return np.array([wachter.theta_degrees(p.s_x) for p in self.theory])
-
-    def theory_theta_y(self) -> np.ndarray:
-        return np.array([wachter.theta_degrees(p.s_y) for p in self.theory])
-
 
 def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
     """Limiting prediction per signal of ``spec``, strongest first.

@@ -232,12 +232,7 @@ def wachter_density(x, regime: AsymptoticRegime):
     return float(out[0]) if scalar else out
 
 
-def _gl_rule(n=_GL_NODES):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
-_GL_CACHE = _gl_rule()
+_GL_CACHE = np.polynomial.legendre.leggauss(_GL_NODES)
 
 
 def _bulk_integral(f, regime: AsymptoticRegime, upper=None):

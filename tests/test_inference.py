@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hdcca.errors import GateFailed, GateWarning, PoleProximity
+from hdcca import linalg
+from hdcca.errors import DimensionError, GateFailed, GateWarning, PoleProximity
 from hdcca.inference import (
     analyze,
     detect_spikes,
@@ -268,6 +269,25 @@ class TestAnalyze:
         shifted = analyze(U + 7.0, V - 4.0, demean=True)
         base = analyze(U, V, demean=True)
         assert shifted.spikes[0].lam == pytest.approx(base.spikes[0].lam, abs=1e-10)
+
+    def test_bad_panels_raise_typed_errors(self):
+        rng = np.random.default_rng(22)
+        U, V = rng.standard_normal((4, 50)), rng.standard_normal((5, 50))
+        U[2, 7] = np.inf
+        with pytest.raises(ValueError, match="U has non-finite entries"):
+            analyze(U, V)
+        with pytest.raises(DimensionError, match="no rows or no samples"):
+            analyze(np.empty((4, 0)), np.empty((5, 0)))
+
+    def test_recovers_no_weights(self, monkeypatch):
+        # analyze reads only the correlations of the factorisation
+        def unused(*args):
+            raise AssertionError("analyze solved for weights")
+
+        monkeypatch.setattr(linalg, "_solve_weights", unused)
+        spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
+        U, V, _ = gen_data(spec)
+        assert len(analyze(U, V).spikes) == 1
 
     def test_swapped_panel_order(self):
         # passing the larger panel first swaps the angle labels but nothing

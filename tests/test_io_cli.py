@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdcca import linalg
 from hdcca.cli import main
 from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
 from hdcca.io import (
@@ -236,6 +237,23 @@ class TestCliSimulate:
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
         for name in ("correlations.csv", "histogram.csv", "spikes.csv", "angles.csv"):
             assert (out / name).exists()
+
+    def test_single_run_factors_each_panel_once(self, tmp_path, monkeypatch):
+        factored = []
+        orthonormal_rows = linalg._orthonormal_rows
+
+        def counting(*args):
+            factored.append(args[0].shape)
+            return orthonormal_rows(*args)
+
+        monkeypatch.setattr(linalg, "_orthonormal_rows", counting)
+        cfg = tmp_path / "spec.cfg"
+        write_sim_config(
+            cfg, SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
+        assert factored == [(20, 200), (30, 200)]
 
     def test_mc_summary(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

@@ -148,6 +148,20 @@ class TestSampleCca:
         with pytest.raises(DimensionError):
             sample_cca(np.zeros((3, 10)), np.zeros((4, 11)))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 20)])
+    def test_empty_panel(self, shape):
+        with pytest.raises(DimensionError, match="U has no rows or no samples"):
+            sample_cca(np.zeros(shape), np.ones((4, shape[1])))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry(self, value):
+        # match= tells the check apart from numpy's LinAlgError, a ValueError
+        rng = np.random.default_rng(11)
+        U, V = rng.standard_normal((3, 20)), rng.standard_normal((4, 20))
+        V[1, 5] = value
+        with pytest.raises(ValueError, match="V has non-finite entries"):
+            sample_cca(U, V)
+
 
 class TestPopulationCca:
     def test_single_signal_structure(self):
