@@ -26,7 +26,7 @@ from .errors import (
     SpecError,
 )
 from .inference import _analyze_correlations, analyze
-from .linalg import _cca, _factor, angle_between, pca_spectrum, sample_cca
+from .linalg import _cca, _correlations, angle_between, pca_spectrum, sample_cca
 from .presets import PRESETS, build_spec
 from .simulate import gen_data, mc_angles, seeded_rng, theory
 
@@ -261,7 +261,7 @@ def cmd_master_check(args) -> int:
     lam = res.correlations_sq
     root_err = float(np.max(np.abs(np.sort(roots) - np.sort(lam))))
 
-    y = np.sort(_factor(U_sub, V)[0])[::-1]
+    y = _correlations(U_sub, V)
     c2 = inputs.poles()
     tol = 1e-9
     interlaced = all(

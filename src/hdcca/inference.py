@@ -31,7 +31,7 @@ from .errors import (
     HdccaError,
     PoleProximity,
 )
-from .linalg import CcaResult, _factor, _panels, _regime_note
+from .linalg import CcaResult, _correlations, _panels, _regime_note
 
 _TIE_TOL = 1e-10
 OVERLAY_POINTS = 512
@@ -251,7 +251,7 @@ def analyze(
     Raises DimensionError for an empty panel, ValueError for a non-finite entry.
     """
     U, V = _panels(U, V, demean)
-    lam = _factor(U, V)[0]
+    lam = _correlations(U, V)
     return _analyze_correlations(
         lam, U.shape[0], V.shape[0], U.shape[1],
         gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,

@@ -2,10 +2,17 @@
 
 Sample canonical correlations are defined through eigenvalues of
 ``(U U^T)^-1 U V^T (V V^T)^-1 V U^T``, but that expression squares condition
-numbers.  Everything here goes through thin QR factorisations of the
-transposed data followed by an SVD of the product of orthonormal bases, which
-is algebraically equivalent and keeps full accuracy for the small
-correlations as well.
+numbers.  Weights, variables and canonical bases therefore go through thin QR
+factorisations of the transposed data followed by an SVD of the product of
+orthonormal bases, which is algebraically equivalent and keeps full accuracy
+for the small correlations as well.
+
+Callers that need only the correlations use ``_correlations``, which whitens
+the cross product with Cholesky factors of the two Gram matrices.  Its
+eigenvalue error grows like eps * cond(Gram) (Yamamoto et al., "Roundoff error
+analysis of the CholeskyQR2 algorithm", ETNA 2015), so it runs only when both
+Gram condition numbers are at most ``_GRAM_COND_LIMIT``; otherwise it falls
+back to the QR route.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ class CcaResult:
 
 
 _COND_LIMIT = 1e12   # largest tolerated condition number of a Gram matrix
+_GRAM_COND_LIMIT = 1e4   # largest Gram condition number the Cholesky route takes
 
 
 def _orthonormal_rows(X, name):
@@ -121,6 +129,32 @@ def _factor(U, V):
     A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
     lam = np.clip(sigma**2, 0.0, 1.0)
     return lam, (Qu, Ru, A), (Qv, Rv, Bt.T)
+
+
+def _gram_cholesky(X):
+    """Cholesky factor of ``X X^T``, or None when its condition number exceeds
+    ``_GRAM_COND_LIMIT``."""
+    gram = X @ X.T
+    eig = np.linalg.eigvalsh(gram)  # ascending
+    if not (eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]):
+        return None
+    return np.linalg.cholesky(gram)
+
+
+def _correlations(U, V):
+    """Squared canonical correlations (descending) of prepared panels.
+
+    The squared singular values of ``Lu^-1 U V^T Lv^-T`` with ``Lu``, ``Lv``
+    the Cholesky factors of the Gram matrices, when both are well conditioned;
+    ``_factor``'s correlations otherwise, with its ``RankDeficient`` checks.
+    """
+    Lu = _gram_cholesky(U)
+    Lv = _gram_cholesky(V) if Lu is not None else None
+    if Lv is None:
+        return _factor(U, V)[0]
+    T = np.linalg.solve(Lu, np.linalg.solve(Lv, V @ U.T).T)
+    small = T @ T.T if T.shape[0] <= T.shape[1] else T.T @ T
+    return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
 
 
 def _recover(Q, R, A):

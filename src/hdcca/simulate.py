@@ -18,7 +18,7 @@ import numpy as np
 
 from . import wachter
 from .errors import SpecError
-from .linalg import angle_between, sample_cca
+from .linalg import _factor, _panels, angle_between
 
 NOISE_LAWS = ("gaussian", "uniform", "student_t")
 SIGNAL_MODES = ("iid-gaussian", "iid-nongaussian", "deterministic", "rotated-pair")
@@ -284,15 +284,14 @@ def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
 
 def _one_replication(spec, rep):
     U, V, truth = gen_data(spec, rep)
-    res = sample_cca(U, V)
+    lam, (Qu, _, A), (Qv, _, B) = _factor(*_panels(U, V, False))
+    # the canonical variables without weights or sign fixing: the angle
+    # reads |x . y|, so a variable's sign never reaches it
+    x_hat, y_hat = (Qu @ A).T, (Qv @ B).T
     q = spec.n_signals
-    tx = np.array(
-        [angle_between(truth.x[i], res.left_variables[i]).degrees for i in range(q)]
-    )
-    ty = np.array(
-        [angle_between(truth.y[i], res.right_variables[i]).degrees for i in range(q)]
-    )
-    return rep, tx, ty, res.correlations_sq
+    tx = np.array([angle_between(truth.x[i], x_hat[i]).degrees for i in range(q)])
+    ty = np.array([angle_between(truth.y[i], y_hat[i]).degrees for i in range(q)])
+    return rep, tx, ty, lam
 
 
 def default_workers() -> int:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from hdcca import linalg
-from hdcca.errors import DimensionError, GateFailed, GateWarning, PoleProximity
+from hdcca.errors import (
+    DimensionError,
+    GateFailed,
+    GateWarning,
+    PoleProximity,
+    RankDeficient,
+)
 from hdcca.inference import (
     analyze,
     detect_spikes,
@@ -278,6 +284,13 @@ class TestAnalyze:
             analyze(U, V)
         with pytest.raises(DimensionError, match="no rows or no samples"):
             analyze(np.empty((4, 0)), np.empty((5, 0)))
+        U[2, 7] = 0.0
+        U[3] = U[0] + U[1]
+        with pytest.raises(RankDeficient, match="U rows are numerically collinear"):
+            analyze(U, V)
+        V[2] = 0.0
+        with pytest.raises(RankDeficient, match="V has exactly collinear rows"):
+            analyze(U[:3], V)
 
     def test_recovers_no_weights(self, monkeypatch):
         # analyze reads only the correlations of the factorisation
@@ -288,6 +301,28 @@ class TestAnalyze:
         spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
         U, V, _ = gen_data(spec)
         assert len(analyze(U, V).spikes) == 1
+
+    def test_gram_guard_dispatch(self, monkeypatch):
+        # well-conditioned panels take the Cholesky route, which builds no
+        # QR factors; a Gram condition number above 1e4 reaches the QR route
+        orthonormal_rows = linalg._orthonormal_rows
+        names = []
+
+        def no_qr(X, name):
+            raise AssertionError("analyze built a QR factor")
+
+        def counting(X, name):
+            names.append(name)
+            return orthonormal_rows(X, name)
+
+        spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
+        U, V, _ = gen_data(spec)
+        monkeypatch.setattr(linalg, "_orthonormal_rows", no_qr)
+        assert len(analyze(U, V).spikes) == 1
+        U[0] *= 1e3  # Gram condition ~1e6
+        monkeypatch.setattr(linalg, "_orthonormal_rows", counting)
+        assert len(analyze(U, V).spikes) == 1
+        assert names == ["U", "V"]
 
     def test_swapped_panel_order(self):
         # passing the larger panel first swaps the angle labels but nothing

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdcca import linalg
 from hdcca.errors import DimensionError, RankDeficient, RegimeWarning, ZeroVector
 from hdcca.linalg import (
     PopulationSpec,
@@ -161,6 +162,44 @@ class TestSampleCca:
         V[1, 5] = value
         with pytest.raises(ValueError, match="V has non-finite entries"):
             sample_cca(U, V)
+
+
+def _conditioned_panel(rng, X, cond):
+    """X mixed by ``Q diag(d) Q^T`` with a random orthogonal Q, so that the
+    Gram condition number is ``cond`` times that of ``X X^T``.  The mixing is
+    invertible, so it leaves every canonical correlation unchanged."""
+    n = X.shape[0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.logspace(0.0, -0.5 * np.log10(cond), n)
+    return (Q * d) @ Q.T @ X
+
+
+class TestCorrelations:
+    # (K, M): ordinary, swapped (K > M), and one-row U with the ladder on V
+    @pytest.mark.parametrize(
+        "dims", [(20, 30), (30, 20), (1, 30)], ids=["K<M", "K>M", "K=1"]
+    )
+    @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11])
+    def test_conditioning_ladder(self, dims, exponent):
+        # the Cholesky route below the guard and the QR fallback above it
+        # both match the QR correlations
+        rng = np.random.default_rng(exponent)
+        K, M = dims
+        U = rng.standard_normal((K, 300))
+        V = rng.standard_normal((M, 300))
+        V[0] = 0.8 * U[0] + 0.6 * V[0]
+        if K > 1:
+            U = _conditioned_panel(rng, U, 10.0**exponent)
+            gram = U @ U.T
+        else:
+            V = _conditioned_panel(rng, V, 10.0**exponent)
+            gram = V @ V.T
+        assert 10.0 ** (exponent - 1) < np.linalg.cond(gram) < 10.0 ** (exponent + 1)
+        lam = linalg._correlations(U, V)
+        ref = linalg._factor(U, V)[0]
+        assert lam.shape == (min(K, M),)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.max(np.abs(lam - ref)) <= 1e-12
 
 
 class TestPopulationCca:

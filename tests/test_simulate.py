@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdcca import linalg
 from hdcca.errors import SpecError
 from hdcca.linalg import angle_between, sample_cca
 from hdcca.simulate import (
@@ -159,6 +160,29 @@ class TestMcAngles:
         parallel = mc_angles(spec, replications=6, max_workers=3)
         assert np.array_equal(serial.theta_x, parallel.theta_x)
         assert np.array_equal(serial.lambdas, parallel.lambdas)
+
+    def test_solves_no_weights(self, monkeypatch):
+        # the angles come from the variables alone, so the summary equals
+        # the one built from sample_cca's variables and correlations
+        spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.8, 0.6), seed=4)
+        tx, ty, lam = [], [], []
+        for rep in range(5):
+            U, V, truth = gen_data(spec, rep)
+            res = sample_cca(U, V)
+            tx.append([angle_between(truth.x[i], res.left_variables[i]).degrees
+                       for i in range(2)])
+            ty.append([angle_between(truth.y[i], res.right_variables[i]).degrees
+                       for i in range(2)])
+            lam.append(res.correlations_sq)
+
+        def unused(*args):
+            raise AssertionError("mc_angles solved for weights")
+
+        monkeypatch.setattr(linalg, "_solve_weights", unused)
+        summary = mc_angles(spec, replications=5)
+        assert np.array_equal(summary.theta_x, np.array(tx))
+        assert np.array_equal(summary.theta_y, np.array(ty))
+        assert np.array_equal(summary.lambdas, np.array(lam))
 
     def test_covariance_modification_leaves_variable_angle(self):
         # scaling the signal coordinate changes the weight-vector angle but
