@@ -18,7 +18,7 @@ import numpy as np
 
 from . import wachter
 from .errors import SpecError
-from .linalg import _factor, _panels, angle_between
+from .linalg import _factor, angle_between
 
 NOISE_LAWS = ("gaussian", "uniform", "student_t")
 SIGNAL_MODES = ("iid-gaussian", "iid-nongaussian", "deterministic", "rotated-pair")
@@ -284,7 +284,7 @@ def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
 
 def _one_replication(spec, rep):
     U, V, truth = gen_data(spec, rep)
-    lam, (Qu, _, A), (Qv, _, B) = _factor(*_panels(U, V, False))
+    lam, (Qu, _, A), (Qv, _, B) = _factor(U, V)
     # the canonical variables without weights or sign fixing: the angle
     # reads |x . y|, so a variable's sign never reaches it
     x_hat, y_hat = (Qu @ A).T, (Qv @ B).T
