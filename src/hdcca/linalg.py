@@ -2,17 +2,15 @@
 
 Sample canonical correlations are defined through eigenvalues of
 ``(U U^T)^-1 U V^T (V V^T)^-1 V U^T``, but that expression squares condition
-numbers.  Weights, variables and canonical bases therefore go through thin QR
-factorisations of the transposed data followed by an SVD of the product of
-orthonormal bases, which is algebraically equivalent and keeps full accuracy
-for the small correlations as well.
-
-Callers that need only the correlations use ``_correlations``, which whitens
-the cross product with Cholesky factors of the two Gram matrices.  Its
+numbers.  Every CCA caller (``sample_cca``, ``analyze``, the Monte Carlo
+harness) therefore runs one kernel, ``_factor``, which whitens the cross
+product ``U V^T`` with Cholesky factors of the two Gram matrices.  Its
 eigenvalue error grows like eps * cond(Gram) (Yamamoto et al., "Roundoff error
 analysis of the CholeskyQR2 algorithm", ETNA 2015), so it runs only when both
-Gram condition numbers are at most ``_GRAM_COND_LIMIT``; otherwise it falls
-back to the QR route.
+Gram condition numbers are at most ``_GRAM_COND_LIMIT``.  Otherwise it falls
+back to ``_qr_route``: thin QR factorisations of the transposed data followed
+by an SVD of the product of orthonormal bases, which keeps full accuracy for
+the small correlations as well.  ``canonical_bases`` always takes the QR route.
 """
 
 from __future__ import annotations
@@ -121,14 +119,13 @@ def _panels(U, V, demean):
     return U, V
 
 
-def _factor(U, V):
-    """Squared canonical correlations (descending) and each side's ``(Q, R, A)``:
-    thin QR factors and the singular vectors of ``Qu^T Qv`` as columns."""
+def _qr_route(U, V):
+    """``_factor`` from thin QR factors ``X^T = Q R`` of both panels and the SVD
+    of ``Qu^T Qv``; the reference the Cholesky route is tested against."""
     Qu, Ru = _orthonormal_rows(U, "U")
     Qv, Rv = _orthonormal_rows(V, "V")
     A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
-    lam = np.clip(sigma**2, 0.0, 1.0)
-    return lam, (Qu, Ru, A), (Qv, Rv, Bt.T)
+    return np.clip(sigma**2, 0.0, 1.0), (U, Qu, Ru, A), (V, Qv, Rv, Bt.T)
 
 
 def _gram_cholesky(X):
@@ -141,26 +138,52 @@ def _gram_cholesky(X):
     return np.linalg.cholesky(gram)
 
 
-def _correlations(U, V):
-    """Squared canonical correlations (descending) of prepared panels.
+def _whiten(Lu, Lv, cross_vu):
+    """``Lu^-1 C Lv^-T`` for a cross block ``C`` given as its transpose."""
+    return np.linalg.solve(Lu, np.linalg.solve(Lv, cross_vu).T)
 
-    The squared singular values of ``Lu^-1 U V^T Lv^-T`` with ``Lu``, ``Lv``
-    the Cholesky factors of the Gram matrices, when both are well conditioned;
-    ``_factor``'s correlations otherwise, with its ``RankDeficient`` checks.
-    """
+
+def _whitened(U, V):
+    """``(Lu, Lv, Lu^-1 U V^T Lv^-T)`` with ``Lu``, ``Lv`` the Cholesky factors
+    of the Gram matrices, or None when either fails the guard."""
     Lu = _gram_cholesky(U)
     Lv = _gram_cholesky(V) if Lu is not None else None
-    if Lv is None:
-        return _factor(U, V)[0]
-    T = np.linalg.solve(Lu, np.linalg.solve(Lv, V @ U.T).T)
+    return None if Lv is None else (Lu, Lv, _whiten(Lu, Lv, V @ U.T))
+
+
+def _factor(U, V):
+    """Squared canonical correlations (descending) and each side's
+    ``(X, Q, R, A)``: the panel, the thin Q of ``X^T`` (None on the Cholesky
+    route), a triangular ``R`` with ``R^T R = X X^T`` and the singular vectors
+    of the whitened cross product as columns of ``A``."""
+    whitened = _whitened(U, V)
+    if whitened is None:
+        return _qr_route(U, V)
+    Lu, Lv, T = whitened
+    A, sigma, Bt = np.linalg.svd(T, full_matrices=False)
+    return np.clip(sigma**2, 0.0, 1.0), (U, None, Lu.T, A), (V, None, Lv.T, Bt.T)
+
+
+def _correlations(U, V):
+    """``_factor``'s correlations alone: the eigenvalues of ``T T^T`` (or
+    ``T^T T``, whichever is smaller) for ``_whitened``'s ``T``, or
+    ``_qr_route``'s correlations with its ``RankDeficient`` checks."""
+    whitened = _whitened(U, V)
+    if whitened is None:
+        return _qr_route(U, V)[0]
+    T = whitened[2]
     small = T @ T.T if T.shape[0] <= T.shape[1] else T.T @ T
     return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
 
 
-def _recover(Q, R, A):
-    """Weight vectors and unit canonical variables of one side, one row each."""
-    weights = _solve_weights(R, A).T
-    variables = (Q @ A).T
+def _recover(X, Q, R, A, n=None):
+    """Weight vectors and unit canonical variables of the first ``n`` pairs
+    (all by default) of one ``_factor`` side, one row each."""
+    A = A[:, :n]
+    # the Cholesky route's R = L^T is square, and its variables need the weights
+    weights = np.linalg.solve(R, A) if Q is None else _solve_weights(R, A)
+    variables = X.T @ weights if Q is None else Q @ A
+    weights, variables = weights.T, variables.T
     _fix_signs(weights, variables)
     return weights, variables
 
@@ -196,7 +219,9 @@ def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
     CcaResult
         With ``min(K, M)`` correlations sorted descending.  Warns
         ``RegimeWarning`` when ``S <= K + M``.  Raises ``RankDeficient``
-        when either Gram matrix has condition number above 1e12.
+        when either Gram matrix has condition number above 1e12, except for
+        a panel with more rows than samples whose rows span every sample
+        direction: then all correlations are 1 and its weights minimal-norm.
     """
     U, V = _panels(U, V, demean)
     note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
@@ -266,8 +291,7 @@ def population_cca(spec: PopulationSpec) -> PopulationCca:
         Lv = np.linalg.cholesky(spec.cov_vv)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"covariance block not positive definite: {exc}")
-    T = np.linalg.solve(Lu, np.linalg.solve(Lv, spec.cov_uv.T).T)
-    A, sigma, Bt = np.linalg.svd(T, full_matrices=False)
+    A, sigma, Bt = np.linalg.svd(_whiten(Lu, Lv, spec.cov_uv.T), full_matrices=False)
     left = np.linalg.solve(Lu.T, A).T
     right = np.linalg.solve(Lv.T, Bt.T).T
     _fix_signs(left)

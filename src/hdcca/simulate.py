@@ -10,15 +10,13 @@ order-independent.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import wachter
 from .errors import SpecError
-from .linalg import _factor, angle_between
+from .linalg import _factor, _recover, angle_between
 
 NOISE_LAWS = ("gaussian", "uniform", "student_t")
 SIGNAL_MODES = ("iid-gaussian", "iid-nongaussian", "deterministic", "rotated-pair")
@@ -284,50 +282,26 @@ def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
 
 def _one_replication(spec, rep):
     U, V, truth = gen_data(spec, rep)
-    lam, (Qu, _, A), (Qv, _, B) = _factor(U, V)
-    # the canonical variables without weights or sign fixing: the angle
-    # reads |x . y|, so a variable's sign never reaches it
-    x_hat, y_hat = (Qu @ A).T, (Qv @ B).T
-    q = spec.n_signals
+    lam, left, right = _factor(U, V)
+    q = spec.n_signals  # only the signal pairs
+    x_hat, y_hat = _recover(*left, q)[1], _recover(*right, q)[1]
     tx = np.array([angle_between(truth.x[i], x_hat[i]).degrees for i in range(q)])
     ty = np.array([angle_between(truth.y[i], y_hat[i]).degrees for i in range(q)])
-    return rep, tx, ty, lam
+    return tx, ty, lam
 
 
-def default_workers() -> int:
-    value = os.environ.get("HDCCA_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def mc_angles(spec: SimSpec, replications: int, *, max_workers: int | None = None) -> McSummary:
-    """Replicate gen_data -> CCA -> measured angles, with limiting theory.
-
-    Results are keyed by replication id, so the summary is identical no
-    matter how many workers run (``HDCCA_THREADS`` caps the default).
-    """
+def mc_angles(spec: SimSpec, replications: int) -> McSummary:
+    """Replicate gen_data -> CCA -> measured angles, with limiting theory."""
     if spec.n_signals == 0:
         raise SpecError("mc_angles needs at least one signal")
-    workers = default_workers() if max_workers is None else max(1, max_workers)
     predictions = theory(spec)
 
     q = spec.n_signals
     theta_x = np.empty((replications, q))
     theta_y = np.empty((replications, q))
     lambdas = np.empty((replications, min(spec.K, spec.M)))
-    if workers == 1:
-        results = (_one_replication(spec, rep) for rep in range(replications))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda rep: _one_replication(spec, rep), range(replications))
-            )
-    for rep, tx, ty, lam in results:
-        theta_x[rep] = tx
-        theta_y[rep] = ty
-        lambdas[rep] = lam
+    for rep in range(replications):
+        theta_x[rep], theta_y[rep], lambdas[rep] = _one_replication(spec, rep)
     return McSummary(
         spec=spec,
         replications=replications,

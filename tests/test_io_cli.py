@@ -192,6 +192,11 @@ class TestCliAnalyze:
         U, V = rng.standard_normal((10, 25)), rng.standard_normal((20, 25))
         code, _ = self.run_panels(tmp_path, U, V)
         assert code == 3
+        # more rows than samples: a singular Gram matrix, still not exit 4
+        (tmp_path / "wide").mkdir()
+        U = rng.standard_normal((30, 20))
+        code, _ = self.run_panels(tmp_path / "wide", U, V[:5, :20])
+        assert code == 3
 
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["analyze", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")])
@@ -239,14 +244,17 @@ class TestCliSimulate:
             assert (out / name).exists()
 
     def test_single_run_factors_each_panel_once(self, tmp_path, monkeypatch):
-        factored = []
-        orthonormal_rows = linalg._orthonormal_rows
+        factored, qr_factored = [], []
+        gram_cholesky = linalg._gram_cholesky
 
-        def counting(*args):
-            factored.append(args[0].shape)
-            return orthonormal_rows(*args)
+        def counting(X):
+            factored.append(X.shape)
+            return gram_cholesky(X)
 
-        monkeypatch.setattr(linalg, "_orthonormal_rows", counting)
+        monkeypatch.setattr(linalg, "_gram_cholesky", counting)
+        monkeypatch.setattr(
+            linalg, "_orthonormal_rows", lambda X, name: qr_factored.append(X.shape)
+        )
         cfg = tmp_path / "spec.cfg"
         write_sim_config(
             cfg, SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
@@ -254,6 +262,7 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
         assert factored == [(20, 200), (30, 200)]
+        assert qr_factored == []
 
     def test_mc_summary(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

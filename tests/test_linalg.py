@@ -3,6 +3,7 @@ import pytest
 
 from hdcca import linalg
 from hdcca.errors import DimensionError, RankDeficient, RegimeWarning, ZeroVector
+from hdcca.inference import analyze
 from hdcca.linalg import (
     PopulationSpec,
     angle_between,
@@ -127,6 +128,23 @@ class TestSampleCca:
         assert n_unit == K + M - S
         assert res.correlations_sq[K + M - S] < 1.0 - 1e-6
 
+    def test_more_rows_than_samples(self):
+        # a 30 x 20 panel has a singular Gram matrix, yet it is accepted: its
+        # rows span every sample direction, so every correlation is 1, and
+        # its weights are the minimal-norm solutions; analyze makes a note
+        rng = np.random.default_rng(12)
+        U = rng.standard_normal((30, 20))
+        V = rng.standard_normal((5, 20))
+        assert np.linalg.cond(U @ U.T) > 1e12
+        with pytest.warns(RegimeWarning):
+            res = sample_cca(U, V)
+        assert res.swapped and np.all(res.correlations_sq > 1.0 - 1e-12)
+        minimal = np.linalg.pinv(U.T) @ res.left_variables.T
+        assert np.allclose(res.left_weights, minimal.T, atol=1e-10)
+        report = analyze(U, V)
+        assert report.regime is None
+        assert any(n.startswith("dimension regime violated") for n in report.notes)
+
     def test_rank_deficient_raises(self):
         rng = np.random.default_rng(9)
         U = rng.standard_normal((4, 30))
@@ -182,7 +200,8 @@ class TestCorrelations:
     @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11])
     def test_conditioning_ladder(self, dims, exponent):
         # the Cholesky route below the guard and the QR fallback above it
-        # both match the QR correlations
+        # both match the QR route's correlations, leading variables and
+        # leading weights
         rng = np.random.default_rng(exponent)
         K, M = dims
         U = rng.standard_normal((K, 300))
@@ -196,10 +215,21 @@ class TestCorrelations:
             gram = V @ V.T
         assert 10.0 ** (exponent - 1) < np.linalg.cond(gram) < 10.0 ** (exponent + 1)
         lam = linalg._correlations(U, V)
-        ref = linalg._factor(U, V)[0]
+        ref, ref_left, ref_right = linalg._qr_route(U, V)
         assert lam.shape == (min(K, M),)
         assert np.all(np.diff(lam) <= 0.0)
         assert np.max(np.abs(lam - ref)) <= 1e-12
+        res = linalg._cca(U, V)
+        assert np.max(np.abs(res.correlations_sq - ref)) <= 1e-12
+        sides = (
+            (res.left_weights[0], res.left_variables[0], ref_left),
+            (res.right_weights[0], res.right_variables[0], ref_right),
+        )
+        for weights, variables, side in sides:
+            ref_w, ref_v = linalg._recover(*side)
+            assert abs(1.0 - abs(variables @ ref_v[0])) <= 1e-12
+            rel = np.linalg.norm(weights - ref_w[0]) / np.linalg.norm(ref_w[0])
+            assert rel <= 1e-10
 
 
 class TestPopulationCca:

@@ -1,0 +1,160 @@
+"""Run a fixed set of hdcca CLI commands and keep everything they produce.
+
+Usage::
+
+    python3 tools/identity_runs.py OUT --src PATH
+
+``PATH`` is the ``src`` directory of the tree under test.  Every run gets its
+own directory ``OUT/<name>`` holding the files the command wrote plus
+``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.  Commands run in that
+directory with relative paths, so no output names the directory.  The inputs
+(CSV panels and spec files, in ``OUT/inputs``) are made with numpy alone from
+fixed seeds, so two source trees see the same bytes.  To compare two trees::
+
+    python3 tools/identity_runs.py /tmp/before --src old/src
+    python3 tools/identity_runs.py /tmp/after --src src
+    diff -r /tmp/before /tmp/after
+
+The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
+regime-violating, wide (more rows than samples), ill-conditioned (QR route),
+collinear and desk-size three-spike panels; ``simulate`` presets and spec
+files for single, Monte Carlo and curve runs, including regime violations and
+an unknown preset; and ``master-check`` at two sizes over several seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _write_panel(path, X):
+    with open(path, "w") as fh:
+        for row in X:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def _signal_panels(seed, K, M, S, strengths):
+    """K x S and M x S Gaussian panels whose leading rows carry the signals."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((K, S))
+    V = rng.standard_normal((M, S))
+    for i, r in enumerate(strengths):
+        V[i] = r * U[i] + np.sqrt(1.0 - r * r) * V[i]
+    return U, V
+
+
+def make_inputs(inputs):
+    """Write every CSV panel and spec file the runs read."""
+    inputs.mkdir(parents=True)
+    U, V = _signal_panels(1, 40, 60, 400, (0.8,))
+    panels = {"plain": (U, V)}
+    panels["two_spike"] = _signal_panels(2, 40, 60, 400, (0.9, 0.75))
+    panels["regime"] = _signal_panels(3, 10, 20, 25, ())
+    panels["wide"] = _signal_panels(4, 30, 5, 20, ())
+    U, V = _signal_panels(5, 40, 60, 400, (0.8,))
+    U[1] *= 1e4  # Gram condition ~1e8: the QR route
+    panels["ill"] = (U, V)
+    U, V = _signal_panels(6, 40, 60, 400, (0.8,))
+    U[3] = U[0] + U[1]
+    panels["collinear"] = (U, V)
+    panels["desk"] = _signal_panels(7, 200, 300, 1600, (0.9, 0.7, 0.5))
+    for name, (U, V) in panels.items():
+        _write_panel(inputs / f"{name}_u.csv", U)
+        _write_panel(inputs / f"{name}_v.csv", V)
+
+    specs = {
+        "single": "K = 40\nM = 60\nS = 400\nsignal_strengths = 0.8\n"
+        "noise_law = student_t\nnoise_df = 5\nsignal_mode = iid-gaussian\n"
+        "mix = true\nseed = 11\n",
+        "mc": "K = 30\nM = 45\nS = 300\nsignal_strengths = 0.85, 0.6\n"
+        "noise_law = uniform\nsignal_mode = iid-gaussian\nseed = 12\n"
+        "replications = 8\n",
+        "curve": "K = 20\nM = 40\nS = 200\nnoise_law = gaussian\n"
+        "signal_mode = iid-gaussian\nseed = 13\nreplications = 4\n"
+        "rho_grid = 0.3, 0.6, 0.9\n",
+        "regime_single": "K = 50\nM = 60\nS = 100\nsignal_strengths = 0.8\n"
+        "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 14\n",
+        "regime_mc": "K = 50\nM = 60\nS = 100\nsignal_strengths = 0.8\n"
+        "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 15\n"
+        "replications = 3\n",
+    }
+    for name, text in specs.items():
+        (inputs / f"{name}.cfg").write_text(text)
+
+
+def runs():
+    """(name, CLI arguments) of every run, inputs relative to the run directory."""
+    def panel(name):
+        return [f"../inputs/{name}_u.csv", f"../inputs/{name}_v.csv"]
+
+    extra = ["--pca", "--empirical-rows"]
+    out = [
+        ("analyze_plain", ["analyze", *panel("plain"), *extra]),
+        ("analyze_swapped", ["analyze", *reversed(panel("plain")), *extra]),
+        ("analyze_two_spike", ["analyze", *panel("two_spike"), *extra]),
+        ("analyze_gate_fail",
+         ["analyze", *panel("plain"), *extra, "--gate-multiplier", "50"]),
+        ("analyze_regime", ["analyze", *panel("regime"), *extra]),
+        ("analyze_wide", ["analyze", *panel("wide"), *extra, "--no-demean"]),
+        ("analyze_ill", ["analyze", *panel("ill"), *extra]),
+        ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
+        ("analyze_desk", ["analyze", *panel("desk"), *extra]),
+        ("analyze_json",
+         ["analyze", *panel("plain"), "--no-demean", "--format", "json"]),
+        ("sim_desk", ["simulate", "--preset", "desk", "--replications", "10"]),
+        ("sim_fig8", ["simulate", "--preset", "fig8", "--replications", "20"]),
+        ("sim_fig9", ["simulate", "--preset", "fig9", "--replications", "20"]),
+        ("sim_fig1", ["simulate", "--preset", "fig1"]),
+        ("sim_fig2", ["simulate", "--preset", "fig2"]),
+        ("sim_fig7", ["simulate", "--preset", "fig7"]),
+        ("sim_unknown", ["simulate", "--preset", "no-such-preset"]),
+        ("spec_single", ["simulate", "--spec", "../inputs/single.cfg"]),
+        ("spec_single_seed",
+         ["simulate", "--spec", "../inputs/single.cfg", "--seed", "21"]),
+        ("spec_mc", ["simulate", "--spec", "../inputs/mc.cfg"]),
+        ("spec_curve", ["simulate", "--spec", "../inputs/curve.cfg"]),
+        ("spec_regime_single", ["simulate", "--spec", "../inputs/regime_single.cfg"]),
+        ("spec_regime_mc", ["simulate", "--spec", "../inputs/regime_mc.cfg"]),
+    ]
+    for seed in (0, 7, *range(34000, 34012)):
+        out.append((f"master_{seed}", ["master-check", "--seed", str(seed)]))
+    for seed in range(34000, 34012):
+        out.append((f"master_150_{seed}",
+                    ["master-check", "--dims", "150", "225", "1200", "--seed", str(seed)]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="new directory for the results")
+    parser.add_argument("--src", type=Path, required=True,
+                        help="src directory of the hdcca tree to run")
+    args = parser.parse_args(argv)
+    if args.out.exists():
+        parser.error(f"{args.out} exists")
+    make_inputs(args.out / "inputs")
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    for name, cli_args in runs():
+        run_dir = args.out / name
+        run_dir.mkdir()
+        if cli_args[0] != "master-check":
+            cli_args = [*cli_args, "--out-dir", "."]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdcca.cli", *cli_args],
+            cwd=run_dir, env=env, capture_output=True, text=True,
+        )
+        (run_dir / "stdout.txt").write_text(proc.stdout)
+        (run_dir / "stderr.txt").write_text(proc.stderr)
+        (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
