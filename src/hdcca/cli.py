@@ -40,11 +40,15 @@ _INPUT_ERRORS = (ParseError, MissingValue, ShapeMismatch, SpecError, FileNotFoun
 
 def _print_spike_table(report, file=None):
     file = file if file is not None else sys.stdout
-    if not report.spikes:
-        edge = report.regime.lambda_plus if report.regime else float("nan")
-        print(f"no correlations above the bulk edge ({edge:.4f})", file=file)
+    if report.regime is None:
+        print("no spike detection: the bulk edge is undefined outside the "
+              "dimension regime", file=file)
         return
-    same_sides = report.regime is not None and report.regime.K == report.regime.M
+    if not report.spikes:
+        print(f"no correlations above the bulk edge "
+              f"({report.regime.lambda_plus:.4f})", file=file)
+        return
+    same_sides = report.regime.K == report.regime.M
     header = ["signal", "lambda", "rho_sq", "|rho|"]
     header += ["angle"] if same_sides else ["theta_x", "theta_y"]
     header += ["sin2"] if same_sides else ["sin2_x", "sin2_y"]

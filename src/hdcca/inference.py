@@ -30,8 +30,15 @@ from .errors import (
     GateWarning,
     HdccaError,
     PoleProximity,
+    RankDeficient,
 )
-from .linalg import CcaResult, _correlations, _panels, _regime_note
+from .linalg import (
+    CcaResult,
+    _correlations,
+    _panels,
+    _regime_note,
+    _spanning_correlations,
+)
 
 _TIE_TOL = 1e-10
 OVERLAY_POINTS = 512
@@ -247,14 +254,21 @@ def analyze(
     """Full pipeline: CCA, spike detection, both estimators, histogram.
 
     Dimension-regime violations, gate failures and per-spike estimation
-    failures become notes on the report instead of exceptions or warnings.
-    Raises DimensionError for an empty panel, ValueError for a non-finite entry.
+    failures become notes on the report instead of exceptions or warnings;
+    so does the rank deficiency of a panel with at least as many rows as
+    samples.  Raises DimensionError for an empty panel, ValueError for a
+    non-finite entry and RankDeficient for collinear rows otherwise.
     """
     U, V = _panels(U, V, demean)
-    lam = _correlations(U, V)
+    K, M, S = U.shape[0], V.shape[0], U.shape[1]
+    try:
+        lam = _correlations(U, V)
+    except RankDeficient:
+        if max(K, M) < S:
+            raise
+        lam = _spanning_correlations(U, V)
     return _analyze_correlations(
-        lam, U.shape[0], V.shape[0], U.shape[1],
-        gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
+        lam, K, M, S, gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
     )
 
 

@@ -79,13 +79,20 @@ def _parse_cell(cell, row, col):
     return value
 
 
-def _is_numeric_row(cells):
-    for cell in cells:
-        try:
-            float(cell.strip())
-        except ValueError:
-            return False
-    return len(cells) > 0
+def _is_label(cell):
+    """Whether a cell is not a number."""
+    try:
+        float(cell.strip())
+    except ValueError:
+        return True
+    return False
+
+
+def _is_header(cells):
+    """Whether a first row is a header: its cells after any label are not all
+    numbers."""
+    data = cells[1:] if _is_label(cells[0]) else cells
+    return not data or any(_is_label(c) for c in data)
 
 
 def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True) -> DataMatrix:
@@ -98,23 +105,88 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     ``demean`` is set, each variable's mean across samples is removed.
     Empty, non-numeric or non-finite cells, ragged rows and files without a
     numeric column raise ParseError (MissingValue for empty cells).
+
+    The numeric block is parsed in one vectorised call; a file that call
+    cannot take whole (quotes, empty, bad or non-finite cells, ragged rows)
+    is parsed cell by cell, which also locates the first bad cell.
     """
     if orientation not in ("rows-are-variables", "rows-are-samples"):
         raise ValueError(f"unknown orientation {orientation!r}")
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        lines = fh.readlines()
+    values, labels, header = _parse_block(lines) or _parse_cells(lines, path)
+
+    if orientation == "rows-are-samples":
+        values = values.T
+        labels = header[-values.shape[0]:] if header else []
+    if demean:
+        values = values - values.mean(axis=1, keepdims=True)
+    return DataMatrix(
+        values=values,
+        row_labels=labels if labels else None,
+        demeaned=demean,
+    )
+
+
+def _parse_block(lines):
+    """``(values, labels, header)`` from one ``np.loadtxt`` over the numeric
+    block, or None when the file needs ``_parse_cells``.
+
+    Without quotes a line's cells are its comma-separated fields, which is
+    what ``csv.reader`` gives, so header and label detection see the same
+    cells as in ``_parse_cells``.  The result stands only when every cell is
+    finite and the block has one row per data line and the first row's width.
+    """
+    lines = [line for line in lines if _has_cells(line)]
+    if not lines or any('"' in line for line in lines):
+        return None
+    header = None
+    first = lines[0].rstrip("\r\n").split(",")
+    if _is_header(first):
+        header = [c.strip() for c in first]
+        lines = lines[1:]
+        if not lines:
+            return None
+    labels = []
+    if _is_label(lines[0].partition(",")[0]):
+        split = [line.partition(",") for line in lines]
+        labels = [head.strip() for head, _, _ in split]
+        lines = [tail for _, _, tail in split]
+    if not lines[0].rstrip("\r\n"):
+        return None  # a label-only first row
+    width = lines[0].count(",") + 1
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), width) or not np.isfinite(values).all():
+        return None
+    return values, labels, header
+
+
+def _has_cells(line):
+    """Whether a line without quotes holds a cell that is not blank, which
+    ``_parse_cells`` requires of a row; most lines show it in their first
+    character."""
+    return line.lstrip()[:1] not in ("", ",") or bool(line.replace(",", "").strip())
+
+
+def _parse_cells(lines, path):
+    """``(values, labels, header)`` cell by cell; raises ParseError (or
+    MissingValue) at the first bad cell or row, with its location."""
+    rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path} is empty")
 
     header = None
-    if not _is_numeric_row(rows[0][1:] if _has_label_column(rows) else rows[0]):
+    if _is_header(rows[0]):
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path} has a header but no data")
 
-    labeled = _has_label_column(rows)
+    labeled = _is_label(rows[0][0])
     labels = []
     data = []
     width = None
@@ -134,29 +206,7 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
         )
     if width == 0:
         raise ParseError(f"{path} has labels but no numeric columns")
-    values = np.asarray(data, dtype=float)
-
-    if orientation == "rows-are-samples":
-        values = values.T
-        labels = header[-values.shape[0]:] if header else []
-    elif not labeled and header:
-        labels = []
-    if demean:
-        values = values - values.mean(axis=1, keepdims=True)
-    return DataMatrix(
-        values=values,
-        row_labels=labels if labels else None,
-        demeaned=demean,
-    )
-
-
-def _has_label_column(rows):
-    first = rows[0][0] if rows and rows[0] else ""
-    try:
-        float(first.strip())
-        return False
-    except ValueError:
-        return True
+    return np.asarray(data, dtype=float), labels, header
 
 
 def check_joint_samples(u: DataMatrix, v: DataMatrix) -> None:

@@ -176,6 +176,19 @@ def _correlations(U, V):
     return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
 
 
+def _spanning_correlations(U, V):
+    """Squared cosines between the row spaces of U and V at their numerical
+    ranks, descending: the correlations when the rows of a panel that spans
+    the sample space are necessarily dependent (``_orthonormal_rows`` rejects
+    such a panel once de-meaning has cut its rank to ``S - 1``)."""
+    bases = []
+    for X in (U, V):
+        _, s, Vt = np.linalg.svd(X, full_matrices=False)
+        bases.append(Vt[s > s[0] * max(X.shape) * np.finfo(float).eps])
+    sigma = np.linalg.svd(bases[0] @ bases[1].T, compute_uv=False)
+    return np.clip(sigma**2, 0.0, 1.0)
+
+
 def _recover(X, Q, R, A, n=None):
     """Weight vectors and unit canonical variables of the first ``n`` pairs
     (all by default) of one ``_factor`` side, one row each."""

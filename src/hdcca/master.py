@@ -153,13 +153,32 @@ class _Terms(NamedTuple):
         return 2.0 * self.t1 * self.d_t1 - self.d_u2 * self.t3 - self.u2 * self.d_t3
 
 
-def _terms(inputs: MasterInputs, z) -> _Terms:
-    """The three bracketed sums of the secular identity and their z-derivatives.
+class _Coeffs(NamedTuple):
+    """The z-independent pieces of ``_terms`` for one table."""
 
-    ``z`` is a scalar or a 1-D array; the sums run over the last axis.
+    cj2: np.ndarray   # squared nonzero cosines
+    ci2: np.ndarray   # squared cosines of the smaller side
+    uu_star: float
+    vv_star: float
+    uv_star: float
+    t1_a: np.ndarray
+    t1_b: np.ndarray
+    t1_c: np.ndarray
+    u2_a: np.ndarray
+    u2_b: np.ndarray
+    t3_a: np.ndarray
+    t3_b: np.ndarray
+    const_t1: float
+    const_u2: float
+    const_t3: float
+
+
+def _coeffs(inputs: MasterInputs) -> _Coeffs:
+    """``_terms``' coefficients for one table, built once per root search.
+
     Contributions from zero cosines (the unpaired directions of the larger
     side) are z-independent after the factors of z cancel, so they are folded
-    in as constants; this keeps the evaluation finite at z = 0.
+    in as constants; this keeps ``_terms`` finite at z = 0.
     """
     km1 = inputs.K - 1
     c = inputs.cosines
@@ -168,48 +187,60 @@ def _terms(inputs: MasterInputs, z) -> _Terms:
     vsu, vsv = inputs.v_star_u, inputs.v_star_v
     usu_pad = np.concatenate([usu, np.zeros(c.shape[0] - km1)])
     vsu_pad = np.concatenate([vsu, np.zeros(c.shape[0] - km1)])
+    jm = c2 > 0.0
+    cj = c[jm]
+    ci = c[:km1]
+    return _Coeffs(
+        cj2=c2[jm],
+        ci2=c2[:km1],
+        uu_star=inputs.uu_star,
+        vv_star=inputs.vv_star,
+        uv_star=inputs.uv_star,
+        t1_a=cj * usv[jm] * vsu_pad[jm],
+        t1_b=usv[jm] * vsv[jm],
+        t1_c=usu * (vsu - ci * vsv[:km1]),
+        u2_a=usv[jm] ** 2 - 2.0 * cj * usv[jm] * usu_pad[jm],
+        u2_b=usu * usu,
+        t3_a=vsu * vsu - 2.0 * ci * vsu * vsv[:km1],
+        t3_b=vsv[jm] ** 2,
+        const_t1=-float(usv[~jm] @ vsv[~jm]),
+        const_u2=float(usv[~jm] @ usv[~jm]),
+        const_t3=float(vsv[~jm] @ vsv[~jm]),
+    )
+
+
+def _terms(cf: _Coeffs, z) -> _Terms:
+    """The three bracketed sums of the secular identity and their z-derivatives.
+
+    ``z`` is a scalar or a 1-D array; the sums run over the last axis.
+    """
     zc = np.asarray(z, dtype=float)[..., None]
 
-    jm = c2 > 0.0
-    cj, cj2 = c[jm], c2[jm]
-    inv_j = 1.0 / (zc - cj2)
+    inv_j = 1.0 / (zc - cf.cj2)
     w_j = zc * inv_j
     dinv_j = -inv_j * inv_j
     dw_j = inv_j * (1.0 - w_j)
 
-    ci, ci2 = c[:km1], c2[:km1]
-    inv_i = 1.0 / (zc - ci2)
+    inv_i = 1.0 / (zc - cf.ci2)
     w_i = zc * inv_i
     dinv_i = -inv_i * inv_i
     dw_i = inv_i * (1.0 - w_i)
 
-    # constants from the zero-cosine block
-    const_t1 = -float(usv[~jm] @ vsv[~jm])
-    const_u2 = float(usv[~jm] @ usv[~jm])
-    const_t3 = float(vsv[~jm] @ vsv[~jm])
-
-    t1_a = cj * usv[jm] * vsu_pad[jm]
-    t1_b = usv[jm] * vsv[jm]
-    t1_c = usu * (vsu - ci * vsv[:km1])
-    t1 = inputs.uv_star + inv_j @ t1_a - w_j @ t1_b + const_t1 - w_i @ t1_c
-    d_t1 = dinv_j @ t1_a - dw_j @ t1_b - dw_i @ t1_c
+    t1 = cf.uv_star + inv_j @ cf.t1_a - w_j @ cf.t1_b + cf.const_t1 - w_i @ cf.t1_c
+    d_t1 = dinv_j @ cf.t1_a - dw_j @ cf.t1_b - dw_i @ cf.t1_c
     t1_scale = (
-        abs(inputs.uv_star)
-        + np.abs(t1_a * inv_j).sum(axis=-1)
-        + np.abs(t1_b * w_j).sum(axis=-1)
-        + abs(const_t1)
-        + np.abs(t1_c * w_i).sum(axis=-1)
+        abs(cf.uv_star)
+        + np.abs(cf.t1_a * inv_j).sum(axis=-1)
+        + np.abs(cf.t1_b * w_j).sum(axis=-1)
+        + abs(cf.const_t1)
+        + np.abs(cf.t1_c * w_i).sum(axis=-1)
     )
 
-    u2_a = usv[jm] ** 2 - 2.0 * cj * usv[jm] * usu_pad[jm]
-    u2_b = usu * usu
-    u2 = -z * inputs.uu_star + w_j @ u2_a + const_u2 + z * (w_i @ u2_b)
-    d_u2 = -inputs.uu_star + dw_j @ u2_a + (w_i + zc * dw_i) @ u2_b
+    u2 = -z * cf.uu_star + w_j @ cf.u2_a + cf.const_u2 + z * (w_i @ cf.u2_b)
+    d_u2 = -cf.uu_star + dw_j @ cf.u2_a + (w_i + zc * dw_i) @ cf.u2_b
 
-    t3_a = vsu * vsu - 2.0 * ci * vsu * vsv[:km1]
-    t3_b = vsv[jm] ** 2
-    t3 = -inputs.vv_star + inv_i @ t3_a + w_j @ t3_b + const_t3
-    d_t3 = dinv_i @ t3_a + dw_j @ t3_b
+    t3 = -cf.vv_star + inv_i @ cf.t3_a + w_j @ cf.t3_b + cf.const_t3
+    d_t3 = dinv_i @ cf.t3_a + dw_j @ cf.t3_b
 
     return _Terms(t1, u2, t3, d_t1, d_u2, d_t3, t1_scale)
 
@@ -225,7 +256,7 @@ def master_residual(z: float, inputs: MasterInputs) -> float:
     correlation of the enlarged subspace pair.  Raises PoleProximity within
     a relative 1e-9 of a noise-cosine pole."""
     _guard_poles(inputs, z)
-    return float(_terms(inputs, z).residual)
+    return float(_terms(_coeffs(inputs), z).residual)
 
 
 def _bisect(f, a, b, fa, iters=200):
@@ -243,9 +274,9 @@ def _bisect(f, a, b, fa, iters=200):
     return 0.5 * (a + b)
 
 
-def _newton_polish(inputs, z, lo, hi, steps=12):
+def _newton_polish(coeffs, z, lo, hi, steps=12):
     for _ in range(steps):
-        t = _terms(inputs, z)
+        t = _terms(coeffs, z)
         dval = t.d_residual
         if dval == 0.0:
             break
@@ -335,6 +366,7 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
     uppers = [1.0] + distinct
     lowers = distinct + [0.0]
 
+    coeffs = _coeffs(inputs)
     roots: list[float] = []
     n_mesh = 32
     while True:
@@ -347,14 +379,14 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
             a = lo + (pad if lo > 0.0 else 0.0)
             b = hi - (pad if hi < 1.0 else 0.0)
             grid = np.concatenate([[a], _graded_mesh(a, b, n_mesh), [b]])
-            vals = _terms(inputs, grid).residual
+            vals = _terms(coeffs, grid).residual
             ok = np.isfinite(vals)
             grid, vals = grid[ok], vals[ok]
             signs = np.sign(vals)
             for idx in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
                 g0, g1 = grid[idx], grid[idx + 1]
-                z = _bisect(lambda x: _terms(inputs, x).residual, g0, g1, vals[idx])
-                z = _newton_polish(inputs, z, g0, g1)
+                z = _bisect(lambda x: _terms(coeffs, x).residual, g0, g1, vals[idx])
+                z = _newton_polish(coeffs, z, g0, g1)
                 roots.append(min(max(z, 0.0), 1.0))
             roots.extend(grid[vals == 0.0].tolist())
         # a removable pole can be crossed from both sides, producing the same
@@ -391,7 +423,7 @@ class VectorStats(NamedTuple):
 
 
 def _q_ratios(inputs: MasterInputs, z: float):
-    t = _terms(inputs, z)
+    t = _terms(_coeffs(inputs), z)
     if abs(t.t1) <= 1e-12 * max(t.t1_scale, 1e-300):
         raise DegenerateQ(
             f"vector-statistics denominator vanishes at z={z} "

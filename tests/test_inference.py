@@ -292,6 +292,16 @@ class TestAnalyze:
         with pytest.raises(RankDeficient, match="V has exactly collinear rows"):
             analyze(U[:3], V)
 
+    def test_wide_demeaned_panel_is_a_regime_violation(self):
+        # de-meaning leaves a 30 x 20 panel rank 19: its rows span the
+        # de-meaned sample space, so every correlation is 1
+        rng = np.random.default_rng(4)
+        U, V = rng.standard_normal((30, 20)), rng.standard_normal((5, 20))
+        report = analyze(U, V, demean=True)
+        assert report.regime is None
+        assert report.correlations == pytest.approx(np.ones(5), abs=1e-12)
+        assert any("M=30 >= S=20" in note for note in report.notes)
+
     def test_recovers_no_weights(self, monkeypatch):
         # analyze reads only the correlations of the factorisation
         def unused(*args):

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hdcca import io as hio
 from hdcca import linalg
 from hdcca.cli import main
 from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
@@ -122,6 +127,122 @@ class TestLoadCsv:
             check_joint_samples(load_csv(a), load_csv(b))
 
 
+def load_outcome(path, orientation="rows-are-variables", *, fast=True):
+    """What ``load_csv`` gives without de-meaning: the values' bytes, shape and
+    labels, or the error's type, location and message.  ``fast=False`` turns
+    the vectorised parse off, leaving the per-cell loop alone."""
+    off = mock.patch.object(hio, "_parse_block", return_value=None)
+    with nullcontext() if fast else off:
+        try:
+            dm = load_csv(path, orientation=orientation, demean=False)
+        except ParseError as exc:
+            return type(exc), exc.row, exc.column, str(exc)
+    return dm.values.tobytes(), dm.values.shape, dm.row_labels
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e3, 1e3).map(lambda x: f" {x:.6e}\t"),
+)
+_BAD_CELLS = st.sampled_from(
+    ["", " ", "na", "NA", "nan", "-NaN", "inf", "-inf", "Infinity", "1e999",
+     "1_0", "abc", "#1", '"1"', '"1,5"', "0x10", "1 2", "\u0661"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of a small grid, some with labels, a header, blank lines, a
+    ragged row, bad cells and any of the three line endings."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    grid = [[draw(_GOOD_CELLS) for _ in range(n_cols)] for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        grid[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, n_cols - 1))] = (
+            draw(_BAD_CELLS)
+        )
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n_rows - 1))
+        grid[r] = grid[r] + ["1"] if draw(st.booleans()) else grid[r][:-1]
+    labeled = draw(st.booleans())
+    q, pad = draw(st.sampled_from(["", '"'])), draw(st.sampled_from(["", " "]))
+    lines = [",".join([f"{q}{pad}v{i}{q}"] * labeled + row)
+             for i, row in enumerate(grid)]
+    if draw(st.booleans()):
+        names = ["name"] * labeled + [f"s{j}" for j in range(n_cols)]
+        lines.insert(0, ",".join(f"{q}{name}{pad}{q}" for name in names))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "  ", ",,", "\t,"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+class TestLoadCsvFastPath:
+    """The vectorised parse against the per-cell loop it falls back to."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=csv_texts(), orientation=st.sampled_from(
+        ["rows-are-variables", "rows-are-samples"]))
+    def test_matches_cell_loop(self, tmp_path, text, orientation):
+        p = tmp_path / "grid.csv"
+        p.write_bytes(text.encode())
+        assert load_outcome(p, orientation) == load_outcome(p, orientation, fast=False)
+
+    @pytest.mark.parametrize("text, orientation, expected", [
+        ("1,2\n#1,4\n", "rows-are-variables", (ParseError, 2, 1)),
+        ("1,2\n  \n3,4\n", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n,,\n3,4\n", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ('"1",2\n3,"4"\n', "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,1_0\n3,4\n", "rows-are-variables", [[1.0, 10.0], [3.0, 4.0]]),
+        ("1,2\n3,nan\n", "rows-are-variables", (MissingValue, 2, 2)),
+        ("1,inf\n3,4\n", "rows-are-variables", (ParseError, 1, 2)),
+        ("1,2\n3,infinity\n", "rows-are-variables", (ParseError, 2, 2)),
+        ("1,2\r\n3,4\r\n", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r3,4\r", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a,1,2\nb,3,4,5\n", "rows-are-variables", (ParseError, 2, None)),
+        ("a,1,2\nb\n", "rows-are-variables", (ParseError, 2, None)),
+        ("name,s1,s2\na,1,2\nb,3,4\n", "rows-are-variables",
+         ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+        ("x,y\n1,2\n3,4\n5,6\n", "rows-are-samples",
+         ([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]], ["x", "y"])),
+        (',,\n"x","y"\n1,2\n3,4\n', "rows-are-samples",
+         ([[1.0, 3.0], [2.0, 4.0]], ["x", "y"])),
+        (",,\n1,2\n3,4\n", "rows-are-samples", ([[1.0, 3.0], [2.0, 4.0]], None)),
+        ('"a",1,2\n"b",3,4\n', "rows-are-variables",
+         ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+    ])
+    def test_cases(self, tmp_path, text, orientation, expected):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode())
+        outcome = load_outcome(p, orientation)
+        assert outcome == load_outcome(p, orientation, fast=False)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert outcome[:3] == expected
+            return
+        values, labels = expected if isinstance(expected, tuple) else (expected, None)
+        dm = load_csv(p, orientation=orientation, demean=False)
+        assert dm.values.tolist() == values
+        assert dm.row_labels == labels
+
+    def test_clean_file_skips_cell_loop(self, tmp_path, monkeypatch):
+        def per_cell(*args):
+            raise AssertionError("a clean file was parsed cell by cell")
+
+        monkeypatch.setattr(hio, "_parse_cell", per_cell)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((4, 30))
+        p = tmp_path / "m.csv"
+        write_matrix_csv(p, values, header=["name"] + [f"s{j}" for j in range(30)],
+                         labels=list("abcd"))
+        dm = load_csv(p, demean=False)
+        assert np.array_equal(dm.values, values)
+        assert dm.row_labels == list("abcd")
+
+
 class TestSimConfig:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "spec.cfg"
@@ -222,6 +343,31 @@ class TestCliAnalyze:
         write_matrix_csv(v_csv, np.ones((2, 5)))
         assert main(["analyze", str(u_csv), str(v_csv)]) == 2
         assert main(["pca", str(u_csv), "--out-dir", str(tmp_path)]) == 2
+
+    def test_wide_panel_exit_3_with_or_without_demean(self, tmp_path, capsys):
+        # de-meaning cuts a 30 x 20 panel's rank to 19: still a regime
+        # violation, not a numerical failure
+        rng = np.random.default_rng(4)
+        u_csv, v_csv = tmp_path / "u.csv", tmp_path / "v.csv"
+        write_matrix_csv(u_csv, rng.standard_normal((30, 20)))
+        write_matrix_csv(v_csv, rng.standard_normal((5, 20)))
+        for flag in ("--demean", "--no-demean"):
+            code = main(["analyze", str(u_csv), str(v_csv), flag,
+                         "--out-dir", str(tmp_path / flag)])
+            assert code == 3, flag
+            out = capsys.readouterr().out
+            assert "dimension regime violated: M=30 >= S=20" in out, flag
+            report = json.loads((tmp_path / flag / "report.json").read_text())
+            assert report["correlations"] == pytest.approx([1.0] * 5, abs=1e-12)
+
+    def test_regime_violation_prints_no_edge(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        U, V = rng.standard_normal((10, 25)), rng.standard_normal((20, 25))
+        code, _ = self.run_panels(tmp_path, U, V)
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "nan" not in out
+        assert out.startswith("no spike detection: the bulk edge is undefined")
 
     def test_collinear_rows_exit_4(self, tmp_path):
         rng = np.random.default_rng(5)

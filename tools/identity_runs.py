@@ -16,10 +16,14 @@ fixed seeds, so two source trees see the same bytes.  To compare two trees::
     diff -r /tmp/before /tmp/after
 
 The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
-regime-violating, wide (more rows than samples), ill-conditioned (QR route),
-collinear and desk-size three-spike panels; ``simulate`` presets and spec
-files for single, Monte Carlo and curve runs, including regime violations and
-an unknown preset; and ``master-check`` at two sizes over several seeds.
+regime-violating, wide (more rows than samples, with and without de-meaning),
+ill-conditioned (QR route), collinear and desk-size three-spike panels; CSV
+ingestion (labels with a header, ``rows-are-samples`` with a header, CRLF
+endings, quoted cells, ``pca``, and one exit per input error: an empty,
+``na``, ``inf`` or non-numeric cell, a ragged row, a label-only file);
+``simulate`` presets and spec files for single, Monte Carlo and curve runs,
+including regime violations and an unknown preset; and ``master-check`` at
+two sizes over several seeds.
 """
 
 from __future__ import annotations
@@ -33,10 +37,15 @@ from pathlib import Path
 import numpy as np
 
 
-def _write_panel(path, X):
-    with open(path, "w") as fh:
-        for row in X:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def _write_panel(path, X, *, header=None, labels=None, eol="\n", quote=""):
+    """One line per row of X; optional header line, label column, line ending
+    and quote character around each number."""
+    lines = [",".join(header)] if header else []
+    for i, row in enumerate(X):
+        cells = [f"{quote}{float(v)!r}{quote}" for v in row]
+        lines.append(",".join(([labels[i]] if labels else []) + cells))
+    with open(path, "w", newline="") as fh:
+        fh.write(eol.join(lines) + eol)
 
 
 def _signal_panels(seed, K, M, S, strengths):
@@ -67,6 +76,29 @@ def make_inputs(inputs):
     for name, (U, V) in panels.items():
         _write_panel(inputs / f"{name}_u.csv", U)
         _write_panel(inputs / f"{name}_v.csv", V)
+
+    # CSV ingestion: the same two-spike panels in other layouts
+    U, V = panels["two_spike"]
+    for side, X in (("u", U), ("v", V)):
+        names = [f"{side}{i + 1}" for i in range(X.shape[0])]
+        _write_panel(inputs / f"labeled_{side}.csv", X, labels=names,
+                     header=["name"] + [f"s{j + 1}" for j in range(X.shape[1])])
+        _write_panel(inputs / f"samples_{side}.csv", X.T, header=names)
+        _write_panel(inputs / f"crlf_{side}.csv", X, eol="\r\n")
+        _write_panel(inputs / f"quoted_{side}.csv", X, quote='"')
+    # input errors: one bad cell or row in a small panel
+    X = np.random.default_rng(8).standard_normal((5, 30))
+    for name, cell in (("empty", ""), ("na", "na"), ("inf", "inf"), ("text", "abc")):
+        lines = [",".join(repr(float(v)) for v in row) for row in X]
+        cells = lines[2].split(",")
+        cells[3] = cell
+        lines[2] = ",".join(cells)
+        (inputs / f"err_{name}.csv").write_text("\n".join(lines) + "\n")
+    lines = [",".join(repr(float(v)) for v in row) for row in X]
+    lines[3] += ",1.0"
+    (inputs / "err_ragged.csv").write_text("\n".join(lines) + "\n")
+    (inputs / "err_labels_only.csv").write_text("name\na\nb\nc\n")
+    _write_panel(inputs / "err_v.csv", np.random.default_rng(9).standard_normal((6, 30)))
 
     specs = {
         "single": "K = 40\nM = 60\nS = 400\nsignal_strengths = 0.8\n"
@@ -105,8 +137,17 @@ def runs():
         ("analyze_ill", ["analyze", *panel("ill"), *extra]),
         ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
         ("analyze_desk", ["analyze", *panel("desk"), *extra]),
+        ("analyze_wide_demean", ["analyze", *panel("wide"), *extra]),
         ("analyze_json",
          ["analyze", *panel("plain"), "--no-demean", "--format", "json"]),
+        ("csv_labeled", ["analyze", *panel("labeled"), *extra]),
+        ("csv_samples", ["analyze", *panel("samples"), *extra,
+                         "--orientation", "rows-are-samples"]),
+        ("csv_crlf", ["analyze", *panel("crlf"), *extra]),
+        ("csv_quoted", ["analyze", *panel("quoted"), *extra]),
+        ("csv_pca", ["pca", "../inputs/labeled_u.csv"]),
+        ("csv_pca_samples", ["pca", "../inputs/samples_v.csv", "--no-demean",
+                             "--orientation", "rows-are-samples"]),
         ("sim_desk", ["simulate", "--preset", "desk", "--replications", "10"]),
         ("sim_fig8", ["simulate", "--preset", "fig8", "--replications", "20"]),
         ("sim_fig9", ["simulate", "--preset", "fig9", "--replications", "20"]),
@@ -122,6 +163,9 @@ def runs():
         ("spec_regime_single", ["simulate", "--spec", "../inputs/regime_single.cfg"]),
         ("spec_regime_mc", ["simulate", "--spec", "../inputs/regime_mc.cfg"]),
     ]
+    for name in ("empty", "na", "inf", "text", "ragged", "labels_only"):
+        out.append((f"csv_err_{name}",
+                    ["analyze", f"../inputs/err_{name}.csv", "../inputs/err_v.csv"]))
     for seed in (0, 7, *range(34000, 34012)):
         out.append((f"master_{seed}", ["master-check", "--seed", str(seed)]))
     for seed in range(34000, 34012):
