@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     SpecError,
 )
 from .inference import _analyze_correlations, analyze
-from .linalg import _cca, _correlations, angle_between, pca_spectrum, sample_cca
+from .linalg import _cca, angle_between, pca_spectrum, sample_cca
 from .presets import PRESETS, build_spec
 from .simulate import gen_data, mc_angles, seeded_rng, theory
 
@@ -246,16 +247,39 @@ def cmd_simulate(args) -> int:
     raise SpecError(f"unknown preset kind {kind!r}")
 
 
-def cmd_master_check(args) -> int:
-    K, M, S = args.dims
-    wachter.regime_from_dims(K, M, S)  # raises DimensionError -> exit 3
-    rng = seeded_rng(args.seed)
+class MasterCheck(NamedTuple):
+    """What ``master-check`` compares on one random instance."""
+
+    roots: int
+    root_err: float
+    interlaced: bool
+    vec_err: float
+
+    def ok(self, K: int) -> bool:
+        return (self.roots == K and self.root_err < 1e-9 and self.interlaced
+                and self.vec_err < 1e-8)
+
+
+def master_instance(K: int, M: int, S: int, seed: int):
+    """``master-check``'s random instance: Gaussian noise panels ``U_sub``
+    ((K-1) x S) and ``V_sub`` ((M-1) x S) and unit vectors ``u_star`` and
+    ``v_star``, returned as ``(u_star, v_star, U_sub, V_sub)``."""
+    rng = seeded_rng(seed)
     U_sub = rng.standard_normal((K - 1, S))
     V_sub = rng.standard_normal((M - 1, S))
     u_star = rng.standard_normal(S)
     u_star /= np.linalg.norm(u_star)
     v_star = rng.standard_normal(S)
     v_star /= np.linalg.norm(v_star)
+    return u_star, v_star, U_sub, V_sub
+
+
+def master_check(K: int, M: int, S: int, seed: int) -> MasterCheck:
+    """Secular roots and vector statistics of the instance ``seed`` against
+    the eigensolver and the measured cosines.  Raises DimensionError outside
+    the dimension regime and HdccaError when a formula fails."""
+    wachter.regime_from_dims(K, M, S)
+    u_star, v_star, U_sub, V_sub = master_instance(K, M, S, seed)
     U = np.vstack([u_star, U_sub])
     V = np.vstack([v_star, V_sub])
 
@@ -265,7 +289,7 @@ def cmd_master_check(args) -> int:
     lam = res.correlations_sq
     root_err = float(np.max(np.abs(np.sort(roots) - np.sort(lam))))
 
-    y = _correlations(U_sub, V)
+    y = inputs.intermediate_correlations()
     c2 = inputs.poles()
     tol = 1e-9
     interlaced = all(
@@ -281,14 +305,18 @@ def cmd_master_check(args) -> int:
         cx = abs(u_star @ res.left_variables[i])
         cy = abs(v_star @ res.right_variables[i])
         vec_err = max(vec_err, abs(st.cos_theta_x - cx), abs(st.cos_theta_y - cy))
+    return MasterCheck(roots.shape[0], root_err, interlaced, vec_err)
 
+
+def cmd_master_check(args) -> int:
+    K, M, S = args.dims
+    check = master_check(K, M, S, args.seed)
     print(f"dims K={K} M={M} S={S} seed={args.seed}")
-    print(f"root count: {roots.shape[0]} (expected {K})")
-    print(f"max |secular root - eigensolver correlation| = {root_err:.3e}")
-    print(f"interlacing: {'ok' if interlaced else 'VIOLATED'}")
-    print(f"max |vector-statistic cosine - measured cosine| = {vec_err:.3e}")
-    ok = roots.shape[0] == K and root_err < 1e-9 and interlaced and vec_err < 1e-8
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    print(f"root count: {check.roots} (expected {K})")
+    print(f"max |secular root - eigensolver correlation| = {check.root_err:.3e}")
+    print(f"interlacing: {'ok' if check.interlaced else 'VIOLATED'}")
+    print(f"max |vector-statistic cosine - measured cosine| = {check.vec_err:.3e}")
+    return EXIT_OK if check.ok(K) else EXIT_NUMERICAL
 
 
 def cmd_pca(args) -> int:

@@ -113,12 +113,15 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     if orientation not in ("rows-are-variables", "rows-are-samples"):
         raise ValueError(f"unknown orientation {orientation!r}")
     path = Path(path)
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet programs write
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     values, labels, header = _parse_block(lines) or _parse_cells(lines, path)
 
     if orientation == "rows-are-samples":
-        values = values.T
+        # a C-order copy de-means with the same arithmetic as the other
+        # orientation, so the same numbers give the same bits either way
+        values = np.ascontiguousarray(values.T)
         labels = header[-values.shape[0]:] if header else []
     if demean:
         values = values - values.mean(axis=1, keepdims=True)

@@ -10,7 +10,9 @@ analysis of the CholeskyQR2 algorithm", ETNA 2015), so it runs only when both
 Gram condition numbers are at most ``_GRAM_COND_LIMIT``.  Otherwise it falls
 back to ``_qr_route``: thin QR factorisations of the transposed data followed
 by an SVD of the product of orthonormal bases, which keeps full accuracy for
-the small correlations as well.  ``canonical_bases`` always takes the QR route.
+the small correlations as well.  ``canonical_bases`` makes the same choice:
+it takes its orthonormal bases from the whitened panels when both Gram
+matrices pass the guard, and from thin QR factors otherwise.
 """
 
 from __future__ import annotations
@@ -351,12 +353,22 @@ def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
         )
     if U_sub.shape[1] != V_sub.shape[1]:
         raise DimensionError("ambient dimensions differ")
-    Qu, _ = _orthonormal_rows(U_sub, "U_sub")
-    Qv, _ = _orthonormal_rows(V_sub, "V_sub")
-    A, sigma, Bt = np.linalg.svd(Qu.T @ Qv)  # full: all of the larger side
+    whitened = _whitened(U_sub, V_sub)
+    if whitened is None:
+        Qu, _ = _orthonormal_rows(U_sub, "U_sub")
+        Qv, _ = _orthonormal_rows(V_sub, "V_sub")
+        A, sigma, Bt = np.linalg.svd(Qu.T @ Qv)  # full: all of the larger side
+        return CanonicalBasis(
+            u_basis=(Qu @ A).T,
+            v_basis=(Qv @ Bt.T).T,
+            cosines=np.clip(sigma, 0.0, 1.0),
+        )
+    # the rows of Lu^-1 U_sub and Lv^-1 V_sub are orthonormal bases
+    Lu, Lv, T = whitened
+    A, sigma, Bt = np.linalg.svd(T)  # full: all of the larger side
     return CanonicalBasis(
-        u_basis=(Qu @ A).T,
-        v_basis=(Qv @ Bt.T).T,
+        u_basis=np.linalg.solve(Lu.T, A).T @ U_sub,
+        v_basis=np.linalg.solve(Lv.T, Bt.T).T @ V_sub,
         cosines=np.clip(sigma, 0.0, 1.0),
     )
 

@@ -131,6 +131,19 @@ class MasterInputs:
         """Squared noise cosines where the secular terms blow up (descending)."""
         return self.cosines[: self.K - 1] ** 2
 
+    def intermediate_correlations(self) -> np.ndarray:
+        """Squared canonical correlations of the u-basis against the whole
+        enlarged v-side space, descending; they interlace with the roots and
+        with the poles.  That space is the v-basis plus the unit residual of
+        v* against it, so they are the squared singular values of
+        ``[diag(c) | (<v*,u_i> - c_i <v*,v_i>) / |v* residual|]``."""
+        km1 = self.K - 1
+        c = self.cosines[:km1]
+        resid = np.sqrt(self.vv_star - self.v_star_v @ self.v_star_v)
+        col = (self.v_star_u - c * self.v_star_v[:km1]) / resid
+        sigma = np.linalg.svd(np.column_stack([np.diag(c), col]), compute_uv=False)
+        return np.clip(sigma**2, 0.0, 1.0)
+
 
 class _Terms(NamedTuple):
     """The secular sums at one ``z`` (floats) or along a 1-D array of ``z``."""
@@ -209,24 +222,39 @@ def _coeffs(inputs: MasterInputs) -> _Coeffs:
     )
 
 
+def _sums(cf: _Coeffs, zc):
+    """The pole factors and the three bracketed sums ``(T1, z T2, T3)`` at
+    ``zc``, a column of z values; ``_residual`` and ``_terms`` share them."""
+    z = zc[..., 0]
+    inv_j = 1.0 / (zc - cf.cj2)
+    w_j = zc * inv_j
+    inv_i = 1.0 / (zc - cf.ci2)
+    w_i = zc * inv_i
+    t1 = cf.uv_star + inv_j @ cf.t1_a - w_j @ cf.t1_b + cf.const_t1 - w_i @ cf.t1_c
+    u2 = -z * cf.uu_star + w_j @ cf.u2_a + cf.const_u2 + z * (w_i @ cf.u2_b)
+    t3 = -cf.vv_star + inv_i @ cf.t3_a + w_j @ cf.t3_b + cf.const_t3
+    return inv_j, w_j, inv_i, w_i, t1, u2, t3
+
+
+def _residual(cf: _Coeffs, z):
+    """``_terms(cf, z).residual`` without the derivatives and the scale: the
+    mesh scan reads only its sign."""
+    t1, u2, t3 = _sums(cf, np.asarray(z, dtype=float)[..., None])[4:]
+    return t1 * t1 - u2 * t3
+
+
 def _terms(cf: _Coeffs, z) -> _Terms:
     """The three bracketed sums of the secular identity and their z-derivatives.
 
     ``z`` is a scalar or a 1-D array; the sums run over the last axis.
     """
     zc = np.asarray(z, dtype=float)[..., None]
-
-    inv_j = 1.0 / (zc - cf.cj2)
-    w_j = zc * inv_j
+    inv_j, w_j, inv_i, w_i, t1, u2, t3 = _sums(cf, zc)
     dinv_j = -inv_j * inv_j
     dw_j = inv_j * (1.0 - w_j)
-
-    inv_i = 1.0 / (zc - cf.ci2)
-    w_i = zc * inv_i
     dinv_i = -inv_i * inv_i
     dw_i = inv_i * (1.0 - w_i)
 
-    t1 = cf.uv_star + inv_j @ cf.t1_a - w_j @ cf.t1_b + cf.const_t1 - w_i @ cf.t1_c
     d_t1 = dinv_j @ cf.t1_a - dw_j @ cf.t1_b - dw_i @ cf.t1_c
     t1_scale = (
         abs(cf.uv_star)
@@ -235,27 +263,18 @@ def _terms(cf: _Coeffs, z) -> _Terms:
         + abs(cf.const_t1)
         + np.abs(cf.t1_c * w_i).sum(axis=-1)
     )
-
-    u2 = -z * cf.uu_star + w_j @ cf.u2_a + cf.const_u2 + z * (w_i @ cf.u2_b)
     d_u2 = -cf.uu_star + dw_j @ cf.u2_a + (w_i + zc * dw_i) @ cf.u2_b
-
-    t3 = -cf.vv_star + inv_i @ cf.t3_a + w_j @ cf.t3_b + cf.const_t3
     d_t3 = dinv_i @ cf.t3_a + dw_j @ cf.t3_b
-
     return _Terms(t1, u2, t3, d_t1, d_u2, d_t3, t1_scale)
-
-
-def _guard_poles(inputs: MasterInputs, z: float) -> None:
-    tol = _POLE_TOL * (1.0 + abs(z))
-    if np.any(np.abs(z - inputs.poles()) <= tol):
-        raise PoleProximity(f"z={z} is within {tol:.2e} of a noise-cosine pole")
 
 
 def master_residual(z: float, inputs: MasterInputs) -> float:
     """Secular residual; zero exactly when z is a squared canonical
     correlation of the enlarged subspace pair.  Raises PoleProximity within
     a relative 1e-9 of a noise-cosine pole."""
-    _guard_poles(inputs, z)
+    tol = _POLE_TOL * (1.0 + abs(z))
+    if np.any(np.abs(z - inputs.poles()) <= tol):
+        raise PoleProximity(f"z={z} is within {tol:.2e} of a noise-cosine pole")
     return float(_terms(_coeffs(inputs), z).residual)
 
 
@@ -274,19 +293,31 @@ def _bisect(f, a, b, fa, iters=200):
     return 0.5 * (a + b)
 
 
-def _newton_polish(coeffs, z, lo, hi, steps=12):
-    for _ in range(steps):
-        t = _terms(coeffs, z)
-        dval = t.d_residual
-        if dval == 0.0:
+def _bracketed_newton(cf: _Coeffs, a, b, fa, fb):
+    """The root of the residual in ``[a, b]``, whose end values ``fa`` and
+    ``fb`` differ in sign: Newton steps from the secant point, each keeping
+    the sign-change bracket, with a bisection step for any Newton step that
+    would leave it.  Stops once a Newton step is at most 1e-15 (1 + |z|)."""
+    z = a - fa * (b - a) / (fb - fa)
+    for _ in range(100):
+        t = _terms(cf, z)
+        f = t.residual
+        if f == 0.0:
             break
-        z_new = z - t.residual / dval
-        if not (lo < z_new < hi):
-            break
-        if abs(z_new - z) <= 1e-15 * (1.0 + abs(z)):
-            z = z_new
-            break
-        z = z_new
+        if np.sign(f) == np.sign(fa):
+            a, fa = z, f
+        else:
+            b = z
+        d_f = t.d_residual
+        step = f / d_f if d_f != 0.0 else np.inf
+        # a converged step can round to zero: test it before the bracket
+        if abs(step) <= 1e-15 * (1.0 + abs(z)):
+            return z - step
+        z = z - step
+        if not a < z < b:
+            z = 0.5 * (a + b)
+            if z == a or z == b:
+                break
     return z
 
 
@@ -336,9 +367,11 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
 
     Each open interval between consecutive noise poles can hold zero, one or
     two roots (adjoining u* and v* raises both subspace dimensions, so the
-    spectra interlace only with gap two: ``z_i >= c_i^2 >= z_{i+2}``).  Roots
-    are located by an adaptive sign scan per interval, bisection, and a
-    safeguarded Newton polish on the rational residual.
+    spectra interlace only with gap two: ``z_i >= c_i^2 >= z_{i+2}``).  An
+    adaptive sign scan of the residual brackets each root inside its
+    interval, and Newton steps that never leave the bracket (a bisection step
+    replaces any that would) converge on it; see Bunch, Nielsen & Sorensen,
+    Numer. Math. 31 (1978) for safeguarded steps inside pole brackets.
 
     Degeneracies are handled directly under a RepeatedCosine warning: noise
     pairs fully decoupled from both adjoined vectors keep their squared
@@ -379,14 +412,14 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
             a = lo + (pad if lo > 0.0 else 0.0)
             b = hi - (pad if hi < 1.0 else 0.0)
             grid = np.concatenate([[a], _graded_mesh(a, b, n_mesh), [b]])
-            vals = _terms(coeffs, grid).residual
+            vals = _residual(coeffs, grid)
             ok = np.isfinite(vals)
             grid, vals = grid[ok], vals[ok]
             signs = np.sign(vals)
             for idx in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-                g0, g1 = grid[idx], grid[idx + 1]
-                z = _bisect(lambda x: _terms(coeffs, x).residual, g0, g1, vals[idx])
-                z = _newton_polish(coeffs, z, g0, g1)
+                z = _bracketed_newton(
+                    coeffs, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+                )
                 roots.append(min(max(z, 0.0), 1.0))
             roots.extend(grid[vals == 0.0].tolist())
         # a removable pole can be crossed from both sides, producing the same
@@ -423,14 +456,22 @@ class VectorStats(NamedTuple):
 
 
 def _q_ratios(inputs: MasterInputs, z: float):
+    """``(T2/T1, T3/T1)`` at a root z.  A root satisfies ``T1^2 = z T2 T3``, so
+    ``T2/T1 = T1/(z T3)`` and ``T3/T1 = T1/(z T2)``; each ratio is taken in the
+    form with the larger denominator, which keeps it accurate where T1 or a
+    T2 or T3 cancelled in the sums is small.  Raises DegenerateQ when T1 is
+    a chosen denominator and has cancelled to 1e-12 of its terms' scale."""
     t = _terms(_coeffs(inputs), z)
-    if abs(t.t1) <= 1e-12 * max(t.t1_scale, 1e-300):
+    a_by_t1 = abs(t.t1) >= abs(z * t.t3)
+    b_by_t1 = abs(t.t1) >= abs(t.u2)
+    if (a_by_t1 or b_by_t1) and abs(t.t1) <= 1e-12 * max(t.t1_scale, 1e-300):
         raise DegenerateQ(
             f"vector-statistics denominator vanishes at z={z} "
             f"(|T1|={abs(t.t1):.2e} against scale {t.t1_scale:.2e})"
         )
-    t2 = t.u2 / z
-    return t2 / t.t1, t.t3 / t.t1
+    q_a = t.u2 / z / t.t1 if a_by_t1 else t.t1 / (z * t.t3)
+    q_b = t.t3 / t.t1 if b_by_t1 else t.t1 / t.u2
+    return q_a, q_b
 
 
 def _vector_solution(z: float, inputs: MasterInputs, what: str):
@@ -441,7 +482,8 @@ def _vector_solution(z: float, inputs: MasterInputs, what: str):
     """
     if z <= 0.0:
         raise PoleProximity(f"{what} need a strictly positive root")
-    _guard_poles(inputs, z)
+    if np.any(z == inputs.poles()):
+        raise PoleProximity(f"{what} are undefined at the noise-cosine pole z={z}")
     q_a, q_b = _q_ratios(inputs, z)
     km1 = inputs.K - 1
     c = inputs.cosines

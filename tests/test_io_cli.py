@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hdcca import io as hio
 from hdcca import linalg
-from hdcca.cli import main
+from hdcca.cli import main, master_check
 from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
 from hdcca.io import (
     SPIKE_COLUMNS,
@@ -90,6 +90,29 @@ class TestLoadCsv:
         dm = load_csv(p, orientation="rows-are-samples", demean=False)
         assert dm.values.shape == (3, 4)
         assert dm.row_labels == ["x", "y", "z"]
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet programs start UTF-8 files with a BOM; it is not a label
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.5,2.5\n3.5,4.5\n")
+        expected = np.array([[1.5, 2.5], [3.5, 4.5]])
+        dm = load_csv(p, demean=False)
+        assert dm.row_labels is None
+        assert np.array_equal(dm.values, expected)
+        dm = load_csv(p, orientation="rows-are-samples", demean=False)
+        assert np.array_equal(dm.values, expected.T)
+
+    def test_orientations_give_identical_values(self, tmp_path):
+        rng = np.random.default_rng(15)
+        X = rng.normal(3.0, 1.0, (7, 101))
+        write_matrix_csv(tmp_path / "vars.csv", X)
+        write_matrix_csv(tmp_path / "samples.csv", X.T)
+        for demean in (True, False):
+            by_vars = load_csv(tmp_path / "vars.csv", demean=demean).values
+            by_samples = load_csv(
+                tmp_path / "samples.csv", orientation="rows-are-samples", demean=demean
+            ).values
+            assert np.array_equal(by_vars, by_samples)
 
     def test_missing_value(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -291,6 +314,24 @@ class TestCliAnalyze:
         with (out / "histogram.csv").open() as fh:
             hist = list(csv.DictReader(fh))
         assert sum(int(r["count"]) for r in hist) == 5  # non-spike correlations
+
+    def test_orientations_write_identical_report(self, tmp_path):
+        rng = np.random.default_rng(16)
+        U = rng.normal(2.0, 1.0, (20, 200))
+        V = rng.normal(-1.0, 1.0, (30, 200))
+        V[0] += 2.0 * U[0]
+        paths = {}
+        for orientation, transpose in (("rows-are-variables", False),
+                                       ("rows-are-samples", True)):
+            d = tmp_path / orientation
+            d.mkdir()
+            for name, X in (("u", U), ("v", V)):
+                write_matrix_csv(d / f"{name}.csv", X.T if transpose else X)
+            assert main(["analyze", str(d / "u.csv"), str(d / "v.csv"),
+                         "--orientation", orientation, "--out-dir", str(d)]) == 0
+            paths[orientation] = d / "report.json"
+        assert (paths["rows-are-variables"].read_bytes()
+                == paths["rows-are-samples"].read_bytes())
 
     def test_noise_only_empty_table(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -510,6 +551,42 @@ class TestCliMasterCheck:
         first = capsys.readouterr().out
         main(["master-check", "--seed", "5"])
         assert capsys.readouterr().out == first
+
+    def test_factors_each_panel_once(self, monkeypatch):
+        factored, qr_factored = [], []
+        gram_cholesky = linalg._gram_cholesky
+        orthonormal_rows = linalg._orthonormal_rows
+
+        def counting(X):
+            factored.append(X.shape)
+            return gram_cholesky(X)
+
+        def counting_qr(X, name):
+            qr_factored.append(X.shape)
+            return orthonormal_rows(X, name)
+
+        monkeypatch.setattr(linalg, "_gram_cholesky", counting)
+        monkeypatch.setattr(linalg, "_orthonormal_rows", counting_qr)
+        assert main(["master-check", "--dims", "20", "30", "160"]) == 0
+        assert sorted(factored) == [(19, 160), (20, 160), (29, 160), (30, 160)]
+        assert qr_factored == []
+
+    @pytest.mark.parametrize("dims, seed", [
+        ((150, 225, 1200), 3041), ((150, 225, 1200), 13045), ((60, 90, 480), 185),
+    ])
+    def test_root_near_a_pole(self, dims, seed, capsys):
+        # an eigensolver correlation within a relative 1e-9 of a noise pole
+        # still has well-defined vector statistics
+        argv = ["master-check", "--dims", *map(str, dims), "--seed", str(seed)]
+        assert main(argv) == 0
+        assert "interlacing: ok" in capsys.readouterr().out
+
+    def test_cancelled_t2_keeps_vector_accuracy(self):
+        # a root where T2 cancels to ~1e-12: T2/T1 loses its digits, while
+        # T1/(z T3) keeps them
+        check = master_check(150, 225, 1200, 1032)
+        assert check.ok(150)
+        assert check.vec_err <= 1e-10
 
 
 class TestCliPca:

@@ -309,6 +309,37 @@ class TestCanonicalBases:
         with pytest.raises(DimensionError):
             canonical_bases(np.eye(5, 20), np.eye(3, 20))
 
+    @pytest.mark.parametrize("dims", [(20, 30), (1, 30)], ids=["K<M", "K=1"])
+    @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11])
+    def test_conditioning_ladder(self, dims, exponent):
+        # the whitened route below the Gram guard and the QR route above it
+        # both give the QR reference's cosines, orthonormal paired bases and
+        # the same leading pair and row spaces
+        rng = np.random.default_rng(exponent)
+        K, M = dims
+        U = rng.standard_normal((K, 300))
+        V = rng.standard_normal((M, 300))
+        V[0] = 0.8 * U[0] + 0.6 * V[0]
+        if K > 1:
+            U = _conditioned_panel(rng, U, 10.0**exponent)
+        else:
+            V = _conditioned_panel(rng, V, 10.0**exponent)
+        assert (linalg._whitened(U, V) is None) == (exponent > 4)
+        basis = canonical_bases(U, V)
+        Qu, _ = np.linalg.qr(U.T)
+        Qv, _ = np.linalg.qr(V.T)
+        A, sigma, Bt = np.linalg.svd(Qu.T @ Qv)
+        ref_u, ref_v = (Qu @ A).T, (Qv @ Bt.T).T
+        assert np.max(np.abs(basis.cosines - sigma)) <= 1e-12
+        cross = np.zeros((K, M))
+        cross[np.arange(K), np.arange(K)] = basis.cosines
+        assert np.max(np.abs(basis.u_basis @ basis.v_basis.T - cross)) <= 1e-12
+        for got, ref in ((basis.u_basis, ref_u), (basis.v_basis, ref_v)):
+            n = ref.shape[0]
+            assert np.max(np.abs(got @ got.T - np.eye(n))) <= 1e-12
+            assert abs(1.0 - abs(got[0] @ ref[0])) <= 1e-12
+            assert np.max(np.abs(got.T @ got - ref.T @ ref)) <= 1e-12
+
 
 class TestPcaSpectrum:
     def test_rank_one(self):

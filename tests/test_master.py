@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hdcca import linalg, master
+from hdcca.cli import master_instance
 from hdcca.errors import (
     DimensionError,
     PoleProximity,
@@ -199,6 +201,78 @@ class TestRoots:
         ).correlations_sq
         assert np.max(np.abs(np.sort(roots) - np.sort(lam))) < 1e-9
         assert np.sum(np.abs(roots - c * c) < 1e-12) == 2
+
+
+def bisection_reference(inputs, roots):
+    """Each root bisected to floating-point resolution on the residual, inside
+    the bracket between its neighbouring roots and poles (all at once)."""
+    cf = master._coeffs(inputs)
+    r = np.sort(roots)
+    poles = np.sort(inputs.poles())
+    mids = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [1.0]])
+    i = np.searchsorted(poles, r)
+    pad = 1e-11  # the residual's double poles cancel only away from the pole
+    a = np.maximum(mids[:-1], np.concatenate([[0.0], poles + pad])[i])
+    b = np.minimum(mids[1:], np.concatenate([poles - pad, [1.0]])[i])
+    fa = master._residual(cf, a)
+    assert np.all(np.sign(fa) * np.sign(master._residual(cf, b)) < 0)
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        fm = master._residual(cf, mid)
+        left = np.sign(fm) == np.sign(fa)
+        a, fa, b = np.where(left, mid, a), np.where(left, fm, fa), np.where(left, b, mid)
+    return 0.5 * (a + b)
+
+
+def check_instance(K, M, S, seed):
+    return MasterInputs.from_matrices(*master_instance(K, M, S, seed))
+
+
+class TestSolver:
+    @pytest.mark.parametrize("seed", range(34000, 34012))
+    def test_matches_bisection_at_k150(self, seed):
+        inputs = check_instance(150, 225, 1200, seed)
+        roots = master_roots(inputs)
+        assert roots.shape[0] == 150
+        assert np.max(np.abs(np.sort(roots) - bisection_reference(inputs, roots))) <= 1e-14
+
+    def test_matches_bisection_on_random_instances(self):
+        for seed in (5, 100, 101, 102, 103, 104):
+            rng = np.random.default_rng(seed)
+            for _ in range(10):
+                inputs = random_instance(rng)[4]
+                roots = master_roots(inputs)
+                assert roots.shape[0] == inputs.K
+                ref = bisection_reference(inputs, roots)
+                assert np.max(np.abs(np.sort(roots) - ref)) <= 1e-14
+
+    def test_residual_matches_terms(self):
+        inputs = check_instance(20, 30, 160, 3)
+        cf = master._coeffs(inputs)
+        z = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(master._residual(cf, z), master._terms(cf, z).residual)
+        for x in z[::50]:
+            assert master._residual(cf, x) == master._terms(cf, x).residual
+
+    def test_evaluations_per_root(self, monkeypatch):
+        # the mesh scan plus a few Newton steps per root; fixed bisection
+        # took about 44 evaluations per root
+        calls = []
+        for name in ("_terms", "_residual"):
+            def counting(cf, z, func=getattr(master, name)):
+                calls.append(z)
+                return func(cf, z)
+            monkeypatch.setattr(master, name, counting)
+        inputs = check_instance(150, 225, 1200, 34003)
+        assert master_roots(inputs).shape[0] == 150
+        assert len(calls) <= 8 * 150
+
+    def test_intermediate_correlations(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            U, V, _, _, inputs = random_instance(rng)
+            ref = linalg._correlations(U[1:], V)
+            assert np.max(np.abs(inputs.intermediate_correlations() - ref)) <= 1e-12
 
 
 class TestVectorStats:

@@ -18,12 +18,14 @@ fixed seeds, so two source trees see the same bytes.  To compare two trees::
 The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
 regime-violating, wide (more rows than samples, with and without de-meaning),
 ill-conditioned (QR route), collinear and desk-size three-spike panels; CSV
-ingestion (labels with a header, ``rows-are-samples`` with a header, CRLF
-endings, quoted cells, ``pca``, and one exit per input error: an empty,
-``na``, ``inf`` or non-numeric cell, a ragged row, a label-only file);
+ingestion (labels with a header, ``rows-are-samples`` with and without a
+header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``, and one
+exit per input error: an empty, ``na``, ``inf`` or non-numeric cell, a ragged
+row, a label-only file);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including regime violations and an unknown preset; and ``master-check`` at
-two sizes over several seeds.
+two sizes over several seeds, plus instances with a root near a noise pole or
+a cancelled secular sum.
 """
 
 from __future__ import annotations
@@ -86,6 +88,14 @@ def make_inputs(inputs):
         _write_panel(inputs / f"samples_{side}.csv", X.T, header=names)
         _write_panel(inputs / f"crlf_{side}.csv", X, eol="\r\n")
         _write_panel(inputs / f"quoted_{side}.csv", X, quote='"')
+    # the plain panels transposed without a header, and with a UTF-8
+    # byte-order mark: both should give analyze_plain's outputs
+    U, V = panels["plain"]
+    for side, X in (("u", U), ("v", V)):
+        _write_panel(inputs / f"samples_plain_{side}.csv", X.T)
+        path = inputs / f"bom_{side}.csv"
+        _write_panel(path, X)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     # input errors: one bad cell or row in a small panel
     X = np.random.default_rng(8).standard_normal((5, 30))
     for name, cell in (("empty", ""), ("na", "na"), ("inf", "inf"), ("text", "abc")):
@@ -143,6 +153,9 @@ def runs():
         ("csv_labeled", ["analyze", *panel("labeled"), *extra]),
         ("csv_samples", ["analyze", *panel("samples"), *extra,
                          "--orientation", "rows-are-samples"]),
+        ("csv_samples_plain", ["analyze", *panel("samples_plain"), *extra,
+                               "--orientation", "rows-are-samples"]),
+        ("csv_bom", ["analyze", *panel("bom"), *extra]),
         ("csv_crlf", ["analyze", *panel("crlf"), *extra]),
         ("csv_quoted", ["analyze", *panel("quoted"), *extra]),
         ("csv_pca", ["pca", "../inputs/labeled_u.csv"]),
@@ -171,6 +184,12 @@ def runs():
     for seed in range(34000, 34012):
         out.append((f"master_150_{seed}",
                     ["master-check", "--dims", "150", "225", "1200", "--seed", str(seed)]))
+    # roots near a noise pole (3041, 13045, 185) and a cancelled T2 (1032)
+    for seed in (1032, 3041, 13045):
+        out.append((f"master_150_{seed}",
+                    ["master-check", "--dims", "150", "225", "1200", "--seed", str(seed)]))
+    out.append(("master_60_185", ["master-check", "--dims", "60", "90", "480",
+                                  "--seed", "185"]))
     return out
 
 
