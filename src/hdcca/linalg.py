@@ -13,6 +13,12 @@ by an SVD of the product of orthonormal bases, which keeps full accuracy for
 the small correlations as well.  ``canonical_bases`` makes the same choice:
 it takes its orthonormal bases from the whitened panels when both Gram
 matrices pass the guard, and from thin QR factors otherwise.
+
+Every solve with a Cholesky factor (the whitening, which overwrites the cross
+product, weight recovery, ``canonical_bases`` and ``population_cca``) is a
+blocked triangular substitution, ``_tri_solve``.  It is backward stable, as
+LU is (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, ch. 8),
+and skips LU's factorisation of the whole factor.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ class CcaResult:
 
 _COND_LIMIT = 1e12   # largest tolerated condition number of a Gram matrix
 _GRAM_COND_LIMIT = 1e4   # largest Gram condition number the Cholesky route takes
+_TRI_BLOCK = 64          # rows per diagonal block of the triangular solves
 
 
 def _orthonormal_rows(X, name):
@@ -140,9 +147,32 @@ def _gram_cholesky(X):
     return np.linalg.cholesky(gram)
 
 
-def _whiten(Lu, Lv, cross_vu):
-    """``Lu^-1 C Lv^-T`` for a cross block ``C`` given as its transpose."""
-    return np.linalg.solve(Lu, np.linalg.solve(Lv, cross_vu).T)
+def _tri_solve(L, B, trans=False):
+    """Overwrite ``B`` with ``L^-1 B`` (``L^-T B`` when ``trans``) for a lower
+    triangular ``L`` and return it.  Blocked substitution: ``np.linalg.solve``
+    on each ``_TRI_BLOCK``-row diagonal block, one matrix product per block for
+    the rows already solved.  ``B`` may be a transposed view, so the right-side
+    solve ``C L^-T`` is ``_tri_solve(L, C.T)`` in place."""
+    T = L.T if trans else L
+    n = T.shape[0]
+    if n <= _TRI_BLOCK:
+        # one block: the loop's bookkeeping would cost Monte Carlo runs of
+        # small panels a few percent
+        B[...] = np.linalg.solve(T, B)
+        return B
+    blocks = range(0, n, _TRI_BLOCK)
+    for i in reversed(blocks) if trans else blocks:
+        j = i + _TRI_BLOCK
+        solved = slice(j, n) if trans else slice(0, i)
+        B[i:j] -= T[i:j, solved] @ B[solved]
+        B[i:j] = np.linalg.solve(T[i:j, i:j], B[i:j])
+    return B
+
+
+def _whiten(Lu, Lv, cross):
+    """``Lu^-1 C Lv^-T`` for a cross block ``C``, computed in ``C``'s memory."""
+    _tri_solve(Lv, cross.T)
+    return _tri_solve(Lu, cross)
 
 
 def _whitened(U, V):
@@ -150,7 +180,7 @@ def _whitened(U, V):
     of the Gram matrices, or None when either fails the guard."""
     Lu = _gram_cholesky(U)
     Lv = _gram_cholesky(V) if Lu is not None else None
-    return None if Lv is None else (Lu, Lv, _whiten(Lu, Lv, V @ U.T))
+    return None if Lv is None else (Lu, Lv, _whiten(Lu, Lv, U @ V.T))
 
 
 def _factor(U, V):
@@ -196,7 +226,7 @@ def _recover(X, Q, R, A, n=None):
     (all by default) of one ``_factor`` side, one row each."""
     A = A[:, :n]
     # the Cholesky route's R = L^T is square, and its variables need the weights
-    weights = np.linalg.solve(R, A) if Q is None else _solve_weights(R, A)
+    weights = _tri_solve(R.T, A.copy(), trans=True) if Q is None else _solve_weights(R, A)
     variables = X.T @ weights if Q is None else Q @ A
     weights, variables = weights.T, variables.T
     _fix_signs(weights, variables)
@@ -306,9 +336,9 @@ def population_cca(spec: PopulationSpec) -> PopulationCca:
         Lv = np.linalg.cholesky(spec.cov_vv)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(f"covariance block not positive definite: {exc}")
-    A, sigma, Bt = np.linalg.svd(_whiten(Lu, Lv, spec.cov_uv.T), full_matrices=False)
-    left = np.linalg.solve(Lu.T, A).T
-    right = np.linalg.solve(Lv.T, Bt.T).T
+    A, sigma, Bt = np.linalg.svd(_whiten(Lu, Lv, spec.cov_uv.copy()), full_matrices=False)
+    left = _tri_solve(Lu, A, trans=True).T
+    right = _tri_solve(Lv, Bt.T, trans=True).T
     _fix_signs(left)
     _fix_signs(right)
     return PopulationCca(sigma**2, left, right)
@@ -367,8 +397,8 @@ def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
     Lu, Lv, T = whitened
     A, sigma, Bt = np.linalg.svd(T)  # full: all of the larger side
     return CanonicalBasis(
-        u_basis=np.linalg.solve(Lu.T, A).T @ U_sub,
-        v_basis=np.linalg.solve(Lv.T, Bt.T).T @ V_sub,
+        u_basis=_tri_solve(Lu, A, trans=True).T @ U_sub,
+        v_basis=_tri_solve(Lv, Bt.T, trans=True).T @ V_sub,
         cosines=np.clip(sigma, 0.0, 1.0),
     )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -127,6 +128,12 @@ class MasterInputs:
         """Convenience: canonical bases of the row spaces, then the table."""
         return cls.from_vectors(u_star, v_star, canonical_bases(U_sub, V_sub))
 
+    @cached_property
+    def _cf(self) -> "_Coeffs":
+        """``_coeffs(self)``, built on first use and kept for every later
+        root search, residual and vector statistic of this table."""
+        return _coeffs(self)
+
     def poles(self) -> np.ndarray:
         """Squared noise cosines where the secular terms blow up (descending)."""
         return self.cosines[: self.K - 1] ** 2
@@ -187,7 +194,7 @@ class _Coeffs(NamedTuple):
 
 
 def _coeffs(inputs: MasterInputs) -> _Coeffs:
-    """``_terms``' coefficients for one table, built once per root search.
+    """``_terms``' coefficients for one table (``MasterInputs._cf`` keeps them).
 
     Contributions from zero cosines (the unpaired directions of the larger
     side) are z-independent after the factors of z cancel, so they are folded
@@ -275,7 +282,7 @@ def master_residual(z: float, inputs: MasterInputs) -> float:
     tol = _POLE_TOL * (1.0 + abs(z))
     if np.any(np.abs(z - inputs.poles()) <= tol):
         raise PoleProximity(f"z={z} is within {tol:.2e} of a noise-cosine pole")
-    return float(_terms(_coeffs(inputs), z).residual)
+    return float(_terms(inputs._cf, z).residual)
 
 
 def _bisect(f, a, b, fa, iters=200):
@@ -327,6 +334,25 @@ def _graded_mesh(lo, hi, n):
     return lo + (hi - lo) * s
 
 
+def _interval_roots(cf: _Coeffs, lo, hi, n_mesh):
+    """The roots in the pole interval ``(lo, hi)`` that an ``n_mesh``-point
+    graded scan brackets by sign changes, each solved by ``_bracketed_newton``,
+    plus any mesh point where the residual is exactly zero."""
+    pad = max(1e-11 * max(hi - lo, 1.0), 1e-14)
+    a = lo + (pad if lo > 0.0 else 0.0)
+    b = hi - (pad if hi < 1.0 else 0.0)
+    grid = np.concatenate([[a], _graded_mesh(a, b, n_mesh), [b]])
+    vals = _residual(cf, grid)
+    ok = np.isfinite(vals)
+    grid, vals = grid[ok], vals[ok]
+    signs = np.sign(vals)
+    roots = [
+        min(max(_bracketed_newton(cf, grid[i], grid[i + 1], vals[i], vals[i + 1]), 0.0), 1.0)
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    ]
+    return roots + grid[vals == 0.0].tolist()
+
+
 def _deflate_decoupled_pairs(inputs: MasterInputs):
     """Split off canonical noise pairs orthogonal to both adjoined vectors.
 
@@ -371,7 +397,9 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
     adaptive sign scan of the residual brackets each root inside its
     interval, and Newton steps that never leave the bracket (a bisection step
     replaces any that would) converge on it; see Bunch, Nielsen & Sorensen,
-    Numer. Math. 31 (1978) for safeguarded steps inside pole brackets.
+    Numer. Math. 31 (1978) for safeguarded steps inside pole brackets.  When
+    the scan comes up short, only the intervals where it found no root are
+    scanned again, on a mesh four times finer.
 
     Degeneracies are handled directly under a RepeatedCosine warning: noise
     pairs fully decoupled from both adjoined vectors keep their squared
@@ -395,37 +423,21 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
             RepeatedCosine,
             stacklevel=2,
         )
-    # interval list in descending z order: (p1, 1], (p2, p1), ..., [0, pr)
-    uppers = [1.0] + distinct
-    lowers = distinct + [0.0]
-
-    coeffs = _coeffs(inputs)
-    roots: list[float] = []
+    # intervals in descending z order: (p1, 1], (p2, p1), ..., [0, pr)
+    intervals = [
+        (lo, hi) for lo, hi in zip(distinct + [0.0], [1.0] + distinct)
+        if hi - lo > 4 * _DUP_TOL
+    ]
+    found: list[list[float]] = [[] for _ in intervals]
+    pending = range(len(intervals))
     n_mesh = 32
     while True:
-        roots.clear()
-        for lo, hi in zip(lowers, uppers):
-            width = hi - lo
-            if width <= 4 * _DUP_TOL:
-                continue
-            pad = max(1e-11 * max(width, 1.0), 1e-14)
-            a = lo + (pad if lo > 0.0 else 0.0)
-            b = hi - (pad if hi < 1.0 else 0.0)
-            grid = np.concatenate([[a], _graded_mesh(a, b, n_mesh), [b]])
-            vals = _residual(coeffs, grid)
-            ok = np.isfinite(vals)
-            grid, vals = grid[ok], vals[ok]
-            signs = np.sign(vals)
-            for idx in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-                z = _bracketed_newton(
-                    coeffs, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
-                )
-                roots.append(min(max(z, 0.0), 1.0))
-            roots.extend(grid[vals == 0.0].tolist())
+        for k in pending:
+            found[k] = _interval_roots(inputs._cf, *intervals[k], n_mesh)
         # a removable pole can be crossed from both sides, producing the same
         # root twice: cluster the scan output at the method's resolution
         clustered: list[float] = []
-        for r in sorted(roots):
+        for r in sorted(r for roots in found for r in roots):
             if clustered and abs(r - clustered[-1]) <= 1e-12 * (1.0 + r):
                 continue
             clustered.append(r)
@@ -439,6 +451,10 @@ def master_roots(inputs: MasterInputs) -> np.ndarray:
                 merged.append(float(d))
         if len(merged) == K or n_mesh >= _MAX_MESH:
             break
+        # an interval holds at most two roots, and an odd number exactly when
+        # the residual's signs at its ends differ: a scan that found a root
+        # found all of them, so only the empty intervals are scanned again
+        pending = [k for k in pending if not found[k]]
         n_mesh *= 4
     if len(merged) != K:
         raise HdccaError(
@@ -461,7 +477,7 @@ def _q_ratios(inputs: MasterInputs, z: float):
     form with the larger denominator, which keeps it accurate where T1 or a
     T2 or T3 cancelled in the sums is small.  Raises DegenerateQ when T1 is
     a chosen denominator and has cancelled to 1e-12 of its terms' scale."""
-    t = _terms(_coeffs(inputs), z)
+    t = _terms(inputs._cf, z)
     a_by_t1 = abs(t.t1) >= abs(z * t.t3)
     b_by_t1 = abs(t.t1) >= abs(t.u2)
     if (a_by_t1 or b_by_t1) and abs(t.t1) <= 1e-12 * max(t.t1_scale, 1e-300):

@@ -3,13 +3,17 @@
 Data recipes place the signal pairs on the leading coordinates (so the true
 weight vectors are coordinate vectors and the true canonical variables are
 the signal rows themselves), fill the rest with independent noise of a chosen
-law, and hand back the ground truth for angle measurement.  Replications are
-driven by counter-style seeded streams so runs are reproducible and
-order-independent.
+law, and hand back the ground truth for angle measurement.  Signals and noise
+are drawn straight into the two panels, with no stacking copy.  Replications
+are driven by counter-style seeded streams so runs are reproducible and
+order-independent; that is what lets ``mc_angles`` draw the next replication
+on a worker thread while the current one is factored, with the serial loop's
+results bit for bit.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +24,8 @@ from .linalg import _factor, _recover, angle_between
 
 NOISE_LAWS = ("gaussian", "uniform", "student_t")
 SIGNAL_MODES = ("iid-gaussian", "iid-nongaussian", "deterministic", "rotated-pair")
+# (K + M) * S from which mc_angles draws the next replication on a worker
+_PREFETCH_CELLS = 150_000
 
 
 def seeded_rng(seed: int, replication_id: int = 0) -> np.random.Generator:
@@ -100,14 +106,17 @@ class GroundTruth:
     beta: np.ndarray    # (q, M)
 
 
-def _draw_noise(rng, law, df, shape):
+def _draw_noise(rng, law, df, out):
+    """Fill ``out`` with unit-variance noise of ``law``; the stream is consumed
+    exactly as a fresh draw of ``out.shape`` would consume it."""
     if law == "gaussian":
-        return rng.standard_normal(shape)
-    if law == "uniform":
-        return rng.uniform(-1.0, 1.0, shape) * np.sqrt(3.0)
-    if law == "student_t":
-        return rng.standard_t(df, shape) / np.sqrt(df / (df - 2.0))
-    raise SpecError(f"unknown noise law {law!r}")
+        rng.standard_normal(out=out)
+    elif law == "uniform":
+        np.multiply(rng.uniform(-1.0, 1.0, out.shape), np.sqrt(3.0), out=out)
+    elif law == "student_t":
+        np.divide(rng.standard_t(df, out.shape), np.sqrt(df / (df - 2.0)), out=out)
+    else:
+        raise SpecError(f"unknown noise law {law!r}")
 
 
 def _rotated_pairs(rng, strengths, S):
@@ -129,36 +138,37 @@ def _rotated_pairs(rng, strengths, S):
 
 
 def gen_data(spec: SimSpec, replication_id: int = 0):
-    """One synthetic draw: (U, V, ground_truth)."""
+    """One synthetic draw: (U, V, ground_truth).
+
+    The signal rows and the noise are drawn straight into the two panels, in
+    the stream order signals, U's noise, V's noise, then the mixing maps.
+    """
     rng = seeded_rng(spec.seed, replication_id)
     q = spec.n_signals
     K, M, S = spec.K, spec.M, spec.S
+    U = np.empty((K, S))
+    V = np.empty((M, S))
 
     if q:
         if spec.signal_mode == "deterministic":
-            xs = spec.signal_x.copy()
-            ys = spec.signal_y.copy()
+            U[:q], V[:q] = spec.signal_x, spec.signal_y
         elif spec.signal_mode == "rotated-pair":
-            xs, ys = _rotated_pairs(rng, spec.signal_strengths, S)
+            U[:q], V[:q] = _rotated_pairs(rng, spec.signal_strengths, S)
         else:
             law = "gaussian" if spec.signal_mode == "iid-gaussian" else spec.noise_law
-            xs = np.empty((q, S))
-            ys = np.empty((q, S))
             for i, r in enumerate(spec.signal_strengths):
-                xs[i] = _draw_noise(rng, law, spec.noise_df, S)
-                eps = _draw_noise(rng, law, spec.noise_df, S)
-                ys[i] = r * xs[i] + np.sqrt(1.0 - r * r) * eps
+                _draw_noise(rng, law, spec.noise_df, U[i])
+                _draw_noise(rng, law, spec.noise_df, V[i])
+                V[i] = r * U[i] + np.sqrt(1.0 - r * r) * V[i]
         if spec.signal_cov_scale:
             scale = np.sqrt(np.asarray(spec.signal_cov_scale, dtype=float))
-            xs[: scale.shape[0]] *= scale[:, None]
-    else:
-        xs = np.empty((0, S))
-        ys = np.empty((0, S))
+            U[: scale.shape[0]] *= scale[:, None]
+    xs, ys = U[:q].copy(), V[:q].copy()
 
-    U = np.vstack([xs, _draw_noise(rng, spec.noise_law, spec.noise_df, (K - q, S))])
-    V = np.vstack([ys, _draw_noise(rng, spec.noise_law, spec.noise_df, (M - q, S))])
-    alpha = np.eye(K)[:q]
-    beta = np.eye(M)[:q]
+    _draw_noise(rng, spec.noise_law, spec.noise_df, U[q:])
+    _draw_noise(rng, spec.noise_law, spec.noise_df, V[q:])
+    alpha = np.eye(q, K)
+    beta = np.eye(q, M)
 
     if spec.mix:
         ups = rng.standard_normal((K, K)) + 2.0 * np.eye(K)
@@ -280,8 +290,8 @@ def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
     return predictions
 
 
-def _one_replication(spec, rep):
-    U, V, truth = gen_data(spec, rep)
+def _angles(spec, U, V, truth):
+    """Measured angles and correlations of one drawn replication."""
     lam, left, right = _factor(U, V)
     q = spec.n_signals  # only the signal pairs
     x_hat, y_hat = _recover(*left, q)[1], _recover(*right, q)[1]
@@ -291,7 +301,17 @@ def _one_replication(spec, rep):
 
 
 def mc_angles(spec: SimSpec, replications: int) -> McSummary:
-    """Replicate gen_data -> CCA -> measured angles, with limiting theory."""
+    """Replicate gen_data -> CCA -> measured angles, with limiting theory.
+
+    When one replication's panels hold at least ``_PREFETCH_CELLS`` cells,
+    replication ``r + 1`` is drawn on one worker thread while the caller
+    factors replication ``r``; the draws are keyed by replication, so the
+    summary is bit for bit the serial loop's, at the cost of one more
+    replication's panels in memory.  Below that size the worker's contention
+    for the interpreter costs more than the overlap gains.  Mixed specs run
+    serially: the mixing products on the worker contend with the caller's
+    own matrix products.
+    """
     if spec.n_signals == 0:
         raise SpecError("mc_angles needs at least one signal")
     predictions = theory(spec)
@@ -300,8 +320,17 @@ def mc_angles(spec: SimSpec, replications: int) -> McSummary:
     theta_x = np.empty((replications, q))
     theta_y = np.empty((replications, q))
     lambdas = np.empty((replications, min(spec.K, spec.M)))
-    for rep in range(replications):
-        theta_x[rep], theta_y[rep], lambdas[rep] = _one_replication(spec, rep)
+    if replications < 2 or spec.mix or (spec.K + spec.M) * spec.S < _PREFETCH_CELLS:
+        for rep in range(replications):
+            theta_x[rep], theta_y[rep], lambdas[rep] = _angles(spec, *gen_data(spec, rep))
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(gen_data, spec, 0)
+            for rep in range(replications):
+                draw = pending.result()
+                if rep + 1 < replications:
+                    pending = pool.submit(gen_data, spec, rep + 1)
+                theta_x[rep], theta_y[rep], lambdas[rep] = _angles(spec, *draw)
     return McSummary(
         spec=spec,
         replications=replications,

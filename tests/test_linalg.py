@@ -232,6 +232,39 @@ class TestCorrelations:
             assert rel <= 1e-10
 
 
+class TestTriSolve:
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("rhs", [1, 200])
+    @pytest.mark.parametrize(
+        "n", [1, linalg._TRI_BLOCK - 1, linalg._TRI_BLOCK, linalg._TRI_BLOCK + 1, 300]
+    )
+    def test_matches_solve(self, n, rhs, trans):
+        # blocked substitution on a Cholesky factor of a Gram matrix against
+        # np.linalg.solve on the whole factor, in place on B
+        rng = np.random.default_rng(n + rhs)
+        X = rng.standard_normal((n, 4 * n + 20))
+        L = np.linalg.cholesky(X @ X.T)
+        B = rng.standard_normal((n, rhs))
+        ref = np.linalg.solve(L.T if trans else L, B)
+        out = B.copy()
+        got = linalg._tri_solve(L, out, trans)
+        assert got is out
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("n", [20, 2 * linalg._TRI_BLOCK + 7])
+    def test_right_side_solve_on_transposed_view(self, n, trans):
+        # C L^-T (C L^-1 when trans) in C's own memory, through C.T
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3 * n))
+        L = np.linalg.cholesky(X @ X.T)
+        C = rng.standard_normal((90, n))
+        ref = np.linalg.solve(L.T if trans else L, C.T).T
+        out = C.copy()
+        linalg._tri_solve(L, out.T, trans)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestPopulationCca:
     def test_single_signal_structure(self):
         spec = PopulationSpec.single_signal(5, 7, r=0.6)

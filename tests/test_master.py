@@ -267,6 +267,33 @@ class TestSolver:
         assert master_roots(inputs).shape[0] == 150
         assert len(calls) <= 8 * 150
 
+    def test_refines_only_rootless_intervals(self, monkeypatch):
+        # seed 34001 hides a close root pair from the first scan; the finer
+        # mesh goes over the intervals without a root, not over all of them
+        calls = []
+        for name in ("_terms", "_residual"):
+            def counting(cf, z, func=getattr(master, name)):
+                calls.append(z)
+                return func(cf, z)
+            monkeypatch.setattr(master, name, counting)
+        inputs = check_instance(150, 225, 1200, 34001)
+        roots = master_roots(inputs)
+        assert roots.shape[0] == 150
+        assert len(calls) <= 8 * 150
+        monkeypatch.undo()
+        assert np.max(np.abs(np.sort(roots) - bisection_reference(inputs, roots))) <= 1e-14
+
+    def test_coefficients_built_once_per_table(self, monkeypatch):
+        builds = []
+        build = master._coeffs
+        monkeypatch.setattr(master, "_coeffs", lambda inputs: builds.append(1) or build(inputs))
+        inputs = check_instance(60, 90, 480, 3)
+        roots = master_roots(inputs)
+        for z in roots:
+            master_vector_stats(z, inputs)
+        master_residual(0.5 * (roots[0] + roots[1]), inputs)
+        assert len(builds) == 1
+
     def test_intermediate_correlations(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

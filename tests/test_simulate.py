@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from hdcca import linalg
+from hdcca import linalg, simulate
 from hdcca.errors import SpecError
 from hdcca.linalg import angle_between, sample_cca
 from hdcca.simulate import (
@@ -41,7 +43,77 @@ class TestSpecValidation:
             SimSpec(K=4, M=5, S=50, signal_strengths=(0.7,), signal_mode="deterministic")
 
 
+def vstack_recipe(spec, replication_id):
+    """gen_data's earlier assembly: signal rows and noise blocks drawn as
+    separate arrays, then stacked; returns (U, V, x, y, alpha, beta)."""
+    rng = seeded_rng(spec.seed, replication_id)
+    df = spec.noise_df
+
+    def noise(law, shape):
+        if law == "gaussian":
+            return rng.standard_normal(shape)
+        if law == "uniform":
+            return rng.uniform(-1.0, 1.0, shape) * np.sqrt(3.0)
+        return rng.standard_t(df, shape) / np.sqrt(df / (df - 2.0))
+
+    q, K, M, S = spec.n_signals, spec.K, spec.M, spec.S
+    if spec.signal_mode == "deterministic":
+        xs, ys = spec.signal_x.copy(), spec.signal_y.copy()
+    elif spec.signal_mode == "rotated-pair":
+        xs, ys = simulate._rotated_pairs(rng, spec.signal_strengths, S)
+    else:
+        law = "gaussian" if spec.signal_mode == "iid-gaussian" else spec.noise_law
+        xs, ys = np.empty((q, S)), np.empty((q, S))
+        for i, r in enumerate(spec.signal_strengths):
+            xs[i] = noise(law, S)
+            eps = noise(law, S)
+            ys[i] = r * xs[i] + np.sqrt(1.0 - r * r) * eps
+    if spec.signal_cov_scale:
+        scale = np.sqrt(np.asarray(spec.signal_cov_scale, dtype=float))
+        xs[: scale.shape[0]] *= scale[:, None]
+    U = np.vstack([xs, noise(spec.noise_law, (K - q, S))])
+    V = np.vstack([ys, noise(spec.noise_law, (M - q, S))])
+    alpha, beta = np.eye(K)[:q], np.eye(M)[:q]
+    if spec.mix:
+        ups = rng.standard_normal((K, K)) + 2.0 * np.eye(K)
+        psi = rng.standard_normal((M, M)) + 2.0 * np.eye(M)
+        U, V = ups @ U, psi @ V
+        if q:
+            alpha = np.linalg.solve(ups.T, alpha.T).T
+            beta = np.linalg.solve(psi.T, beta.T).T
+    return U, V, xs, ys, alpha, beta
+
+
 class TestGenData:
+    @pytest.mark.parametrize("mix", [False, True])
+    @pytest.mark.parametrize("mode", simulate.SIGNAL_MODES)
+    @pytest.mark.parametrize("law", simulate.NOISE_LAWS)
+    def test_matches_vstack_recipe(self, law, mode, mix):
+        # drawing straight into the panels keeps every stream and every bit
+        S = 60
+        extra = {}
+        if mode == "deterministic":
+            pairs = [sinusoid_pair(S, 0.8), sinusoid_pair(S, 0.5, 4, 9)]
+            extra = {"signal_x": np.array([p[0] for p in pairs]),
+                     "signal_y": np.array([p[1] for p in pairs])}
+        spec = SimSpec(K=6, M=9, S=S, signal_strengths=(0.8, 0.5), noise_law=law,
+                       noise_df=5.0, signal_mode=mode, signal_cov_scale=(4.0,),
+                       mix=mix, seed=17, **extra)
+        for rep in (0, 3):
+            U, V, truth = gen_data(spec, rep)
+            ref = vstack_recipe(spec, rep)
+            got = (U, V, truth.x, truth.y, truth.alpha, truth.beta)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_matches_vstack_recipe_without_signals(self, mix):
+        spec = SimSpec(K=5, M=7, S=40, noise_law="uniform", mix=mix, seed=18)
+        U, V, truth = gen_data(spec, 2)
+        got = (U, V, truth.x, truth.y, truth.alpha, truth.beta)
+        for a, b in zip(got, vstack_recipe(spec, 2)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_shapes_and_ground_truth(self):
         spec = SimSpec(K=6, M=9, S=80, signal_strengths=(0.8, 0.5), seed=3)
         U, V, truth = gen_data(spec)
@@ -186,6 +258,51 @@ class TestMcAngles:
         assert np.array_equal(summary.theta_x, np.array(tx))
         assert np.array_equal(summary.theta_y, np.array(ty))
         assert np.array_equal(summary.lambdas, np.array(lam))
+
+    @pytest.mark.parametrize("dims, mix", [((20, 30, 200), False),
+                                           ((50, 250, 800), False),
+                                           ((50, 250, 800), True)])
+    def test_worker_matches_serial_loop(self, dims, mix):
+        # below the size constant, and for mixed specs, the loop is serial;
+        # otherwise the next draw runs on a worker thread; each equals the
+        # plain loop bit for bit
+        K, M, S = dims
+        spec = SimSpec(K=K, M=M, S=S, signal_strengths=(0.8, 0.6), mix=mix, seed=9)
+        assert ((K + M) * S >= simulate._PREFETCH_CELLS) == (K == 50)
+        threads = threading.active_count()
+        summary = mc_angles(spec, 4)
+        assert threading.active_count() == threads
+        for rep in range(4):
+            tx, ty, lam = simulate._angles(spec, *gen_data(spec, rep))
+            assert np.array_equal(summary.theta_x[rep], tx)
+            assert np.array_equal(summary.theta_y[rep], ty)
+            assert np.array_equal(summary.lambdas[rep], lam)
+
+    @pytest.mark.parametrize("side", ["draw", "factor"])
+    def test_replication_error_propagates(self, monkeypatch, side):
+        # an error in the worker's draw or in the caller's factorisation
+        # reaches the caller, and the worker thread is gone afterwards
+        spec = SimSpec(K=50, M=250, S=800, signal_strengths=(0.7,), seed=10)
+        assert (spec.K + spec.M) * spec.S >= simulate._PREFETCH_CELLS
+
+        def failing(func, at):
+            calls = []
+
+            def wrapper(*args):
+                calls.append(1)
+                if len(calls) == at:
+                    raise RuntimeError(f"{side} failed")
+                return func(*args)
+            return wrapper
+
+        if side == "draw":
+            monkeypatch.setattr(simulate, "gen_data", failing(simulate.gen_data, 3))
+        else:
+            monkeypatch.setattr(simulate, "_factor", failing(simulate._factor, 2))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{side} failed"):
+            mc_angles(spec, 5)
+        assert threading.active_count() == threads
 
     def test_covariance_modification_leaves_variable_angle(self):
         # scaling the signal coordinate changes the weight-vector angle but

@@ -23,9 +23,10 @@ header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``, and one
 exit per input error: an empty, ``na``, ``inf`` or non-numeric cell, a ragged
 row, a label-only file);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
-including regime violations and an unknown preset; and ``master-check`` at
-two sizes over several seeds, plus instances with a root near a noise pole or
-a cancelled secular sum.
+including Monte Carlo runs large enough to draw on a worker thread (uniform
+and Student-t noise, mixing), regime violations and an unknown preset; and
+``master-check`` at two sizes over several seeds, plus instances with a root
+near a noise pole or a cancelled secular sum.
 """
 
 from __future__ import annotations
@@ -120,6 +121,16 @@ def make_inputs(inputs):
         "curve": "K = 20\nM = 40\nS = 200\nnoise_law = gaussian\n"
         "signal_mode = iid-gaussian\nseed = 13\nreplications = 4\n"
         "rho_grid = 0.3, 0.6, 0.9\n",
+        # above simulate._PREFETCH_CELLS, so the next draw runs on the worker
+        "mc_uniform": "K = 50\nM = 150\nS = 800\nsignal_strengths = 0.8\n"
+        "noise_law = uniform\nsignal_mode = iid-nongaussian\nseed = 16\n"
+        "replications = 6\n",
+        "mc_student_t": "K = 50\nM = 150\nS = 800\nsignal_strengths = 0.8, 0.5\n"
+        "noise_law = student_t\nnoise_df = 5\nsignal_mode = iid-gaussian\n"
+        "seed = 17\nreplications = 6\n",
+        "mc_mix": "K = 50\nM = 150\nS = 800\nsignal_strengths = 0.8\n"
+        "noise_law = gaussian\nsignal_mode = iid-gaussian\nmix = true\nseed = 18\n"
+        "replications = 6\n",
         "regime_single": "K = 50\nM = 60\nS = 100\nsignal_strengths = 0.8\n"
         "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 14\n",
         "regime_mc": "K = 50\nM = 60\nS = 100\nsignal_strengths = 0.8\n"
@@ -172,6 +183,9 @@ def runs():
         ("spec_single_seed",
          ["simulate", "--spec", "../inputs/single.cfg", "--seed", "21"]),
         ("spec_mc", ["simulate", "--spec", "../inputs/mc.cfg"]),
+        ("spec_mc_uniform", ["simulate", "--spec", "../inputs/mc_uniform.cfg"]),
+        ("spec_mc_student_t", ["simulate", "--spec", "../inputs/mc_student_t.cfg"]),
+        ("spec_mc_mix", ["simulate", "--spec", "../inputs/mc_mix.cfg"]),
         ("spec_curve", ["simulate", "--spec", "../inputs/curve.cfg"]),
         ("spec_regime_single", ["simulate", "--spec", "../inputs/regime_single.cfg"]),
         ("spec_regime_mc", ["simulate", "--spec", "../inputs/regime_mc.cfg"]),
