@@ -14,6 +14,16 @@ the small correlations as well.  ``canonical_bases`` makes the same choice:
 it takes its orthonormal bases from the whitened panels when both Gram
 matrices pass the guard, and from thin QR factors otherwise.
 
+``_gram_cholesky`` certifies the guard with one Cholesky factorisation of the
+Gram matrix ``G`` shifted down by ``2 ||G||_inf / _GRAM_COND_LIMIT``.
+``||G||_inf`` bounds the largest eigenvalue, and Cholesky's backward error,
+about ``n^2 eps ||G||`` (Higham, "Accuracy and Stability of Numerical
+Algorithms", 2002, ch. 10), is far below the shift for any Gram matrix that
+fits in memory, so a factorisation that succeeds proves the condition number
+is within the limit.  Only when it fails do the exact eigenvalues from
+``eigvalsh`` decide, so every input takes the route the exact test alone
+would give it.
+
 Every solve with a Cholesky factor (the whitening, which overwrites the cross
 product, weight recovery, ``canonical_bases`` and ``population_cca``) is a
 blocked triangular substitution, ``_tri_solve``.  It is backward stable, as
@@ -139,11 +149,24 @@ def _qr_route(U, V):
 
 def _gram_cholesky(X):
     """Cholesky factor of ``X X^T``, or None when its condition number exceeds
-    ``_GRAM_COND_LIMIT``."""
+    ``_GRAM_COND_LIMIT``: certified by a shifted Cholesky factorisation, or
+    decided by the exact eigenvalues when that fails (see the module
+    docstring)."""
     gram = X @ X.T
-    eig = np.linalg.eigvalsh(gram)  # ascending
-    if not (eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]):
-        return None
+    n = gram.shape[0]
+    diag = gram.diagonal().copy()
+    # shifted in place and restored bit for bit: a shifted copy costs memory
+    gram.flat[:: n + 1] -= 2.0 * np.abs(gram).sum(axis=1).max() / _GRAM_COND_LIMIT
+    try:
+        np.linalg.cholesky(gram)
+        certified = True
+    except np.linalg.LinAlgError:
+        certified = False
+    gram.flat[:: n + 1] = diag
+    if not certified:
+        eig = np.linalg.eigvalsh(gram)  # ascending
+        if not (eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]):
+            return None
     return np.linalg.cholesky(gram)
 
 

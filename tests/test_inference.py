@@ -334,6 +334,35 @@ class TestAnalyze:
         assert len(analyze(U, V).spikes) == 1
         assert names == ["U", "V"]
 
+    def test_gram_certificate_dispatch(self, monkeypatch):
+        # well-conditioned desk-size panels pass the shifted-Cholesky
+        # certificate, so the one eigensolve is of the small T T^T; a Gram
+        # condition number between the certificate's reach and 1e4 costs one
+        # exact eigensolve more and still takes the Cholesky route
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def spy(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        def no_qr(X, name):
+            raise AssertionError("analyze built a QR factor")
+
+        monkeypatch.setattr(linalg, "_orthonormal_rows", no_qr)
+        spec = SimSpec(K=200, M=300, S=1600, signal_strengths=(0.9,), seed=3)
+        U, V, _ = gen_data(spec)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert len(analyze(U, V).spikes) == 1
+        assert shapes == [(200, 200)]
+        U = U[:20].copy()
+        U[0] *= 80.0
+        eig = eigvalsh(U @ U.T)
+        assert 5e3 < eig[-1] / eig[0] < 1e4
+        shapes.clear()
+        assert len(analyze(U, V).spikes) == 1
+        assert shapes == [(20, 20), (20, 20)]
+
     def test_swapped_panel_order(self):
         # passing the larger panel first swaps the angle labels but nothing
         # else, for both estimation routes

@@ -232,6 +232,82 @@ class TestCorrelations:
             assert rel <= 1e-10
 
 
+def _guard_routes(monkeypatch, panels):
+    """The route ``_gram_cholesky`` takes on each panel ("certified", "exact
+    pass" or "exact fail"), checking on the way that it returns None exactly
+    when the exact eigenvalue test fails, and otherwise the bits of
+    ``np.linalg.cholesky(X @ X.T)``: so the Gram's diagonal is restored."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    routes = []
+    for X in panels:
+        eig = eigvalsh(X @ X.T)
+        exact = eig[0] > 0.0 and eig[-1] <= linalg._GRAM_COND_LIMIT * eig[0]
+        calls.clear()
+        L = linalg._gram_cholesky(X)
+        assert (L is not None) == exact, eig[-1] / eig[0]
+        if L is not None:
+            assert np.array_equal(L, np.linalg.cholesky(X @ X.T))
+        if not calls:
+            routes.append("certified")
+        else:
+            routes.append("exact pass" if exact else "exact fail")
+    return routes
+
+
+class TestGramCholesky:
+    # the certificate may leave a decision to the exact test, never change it
+    @pytest.mark.parametrize(
+        "dims", [(20, 30), (30, 20), (1, 30)], ids=["K<M", "K>M", "K=1"]
+    )
+    def test_conditioning_ladder(self, monkeypatch, dims):
+        routes = []
+        for exponent in np.arange(2.0, 6.01, 0.25):
+            rng = np.random.default_rng(int(100 * exponent))
+            K, M = dims
+            U = rng.standard_normal((K, 300))
+            V = rng.standard_normal((M, 300))
+            V[0] = 0.8 * U[0] + 0.6 * V[0]
+            if K > 1:
+                U = _conditioned_panel(rng, U, 10.0**exponent)
+            else:
+                V = _conditioned_panel(rng, V, 10.0**exponent)
+            routes += _guard_routes(monkeypatch, [U, V])
+        assert {"certified", "exact pass", "exact fail"} <= set(routes)
+
+    def test_one_row_scaled(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        panels = []
+        for scale in np.logspace(-3.0, 3.0, 49):
+            X = rng.standard_normal((20, 300))
+            X[3] *= scale
+            panels.append(X)
+        routes = _guard_routes(monkeypatch, panels)
+        assert {"certified", "exact pass", "exact fail"} <= set(routes)
+
+    def test_common_factor(self, monkeypatch):
+        # every row loads on one common series: one large eigenvalue
+        rng = np.random.default_rng(6)
+        panels = [
+            weight * rng.standard_normal(300) + rng.standard_normal((n, 300))
+            for n in (2, 20, 150)
+            for weight in np.logspace(0.0, 2.5, 21)
+        ]
+        routes = _guard_routes(monkeypatch, panels)
+        assert {"certified", "exact fail"} <= set(routes)
+
+    def test_singular_gram(self, monkeypatch):
+        X = np.random.default_rng(7).standard_normal((10, 200))
+        X[4] = X[1] - X[2]
+        assert _guard_routes(monkeypatch, [X, np.zeros((3, 50))]) == ["exact fail"] * 2
+
+
 class TestTriSolve:
     @pytest.mark.parametrize("trans", [False, True])
     @pytest.mark.parametrize("rhs", [1, 200])

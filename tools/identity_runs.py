@@ -17,7 +17,8 @@ fixed seeds, so two source trees see the same bytes.  To compare two trees::
 
 The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
 regime-violating, wide (more rows than samples, with and without de-meaning),
-ill-conditioned (QR route), collinear and desk-size three-spike panels; CSV
+ill-conditioned (QR route), collinear and desk-size three-spike panels, and
+panels whose Gram guard is decided by its exact eigenvalue test; CSV
 ingestion (labels with a header, ``rows-are-samples`` with and without a
 header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``, and one
 exit per input error: an empty, ``na``, ``inf`` or non-numeric cell, a ragged
@@ -61,6 +62,23 @@ def _signal_panels(seed, K, M, S, strengths):
     return U, V
 
 
+def _assert_guard_fallback(U):
+    """Check that the de-meaned U's Gram fails the shifted-Cholesky
+    certificate of ``linalg._gram_cholesky`` and passes its exact 1e4
+    condition-number test, so that analyze reaches the exact test and then
+    takes the Cholesky route."""
+    X = U - U.mean(axis=1, keepdims=True)
+    gram = X @ X.T
+    eig = np.linalg.eigvalsh(gram)
+    assert eig[0] > 0.0 and eig[-1] <= 1e4 * eig[0], eig[-1] / eig[0]
+    gram.flat[:: gram.shape[0] + 1] -= 2.0 * np.abs(gram).sum(axis=1).max() / 1e4
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return
+    raise AssertionError("the guard_fallback panel passes the certificate")
+
+
 def make_inputs(inputs):
     """Write every CSV panel and spec file the runs read."""
     inputs.mkdir(parents=True)
@@ -75,6 +93,10 @@ def make_inputs(inputs):
     U, V = _signal_panels(6, 40, 60, 400, (0.8,))
     U[3] = U[0] + U[1]
     panels["collinear"] = (U, V)
+    U, V = _signal_panels(10, 40, 60, 400, (0.8,))
+    U[1] *= 60.0  # Gram condition ~7e3: the exact guard decides
+    _assert_guard_fallback(U)
+    panels["guard_fallback"] = (U, V)
     panels["desk"] = _signal_panels(7, 200, 300, 1600, (0.9, 0.7, 0.5))
     for name, (U, V) in panels.items():
         _write_panel(inputs / f"{name}_u.csv", U)
@@ -157,6 +179,7 @@ def runs():
         ("analyze_wide", ["analyze", *panel("wide"), *extra, "--no-demean"]),
         ("analyze_ill", ["analyze", *panel("ill"), *extra]),
         ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
+        ("analyze_guard_fallback", ["analyze", *panel("guard_fallback"), *extra]),
         ("analyze_desk", ["analyze", *panel("desk"), *extra]),
         ("analyze_wide_demean", ["analyze", *panel("wide"), *extra]),
         ("analyze_json",
