@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input error, 3 dimension-regime violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import replace
@@ -36,7 +35,7 @@ EXIT_INPUT = 2
 EXIT_REGIME = 3
 EXIT_NUMERICAL = 4
 
-_INPUT_ERRORS = (ParseError, MissingValue, ShapeMismatch, SpecError, FileNotFoundError)
+_INPUT_ERRORS = (ParseError, MissingValue, ShapeMismatch, SpecError, OSError)
 
 
 def _print_spike_table(report, file=None):
@@ -109,25 +108,9 @@ def cmd_analyze(args) -> int:
 
 def _write_curves(out, rows):
     """theta_x_curve.csv and theta_y_curve.csv from (x row, y row) pairs."""
+    header = ["rho_sq", "theta_theory", "theta_mean", "band_lo", "band_hi"]
     for side, name in enumerate(("theta_x_curve.csv", "theta_y_curve.csv")):
-        with (out / name).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["rho_sq", "theta_theory", "theta_mean", "band_lo", "band_hi"]
-            )
-            for pair in rows:
-                writer.writerow([hio.fmt(v) for v in pair[side]])
-
-
-def _write_angles_csv(path, rows):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["signal", "rho_sq", "theta_x_theory", "theta_x_sim",
-             "theta_y_theory", "theta_y_sim"]
-        )
-        for row in rows:
-            writer.writerow([row[0]] + [hio.fmt(v) for v in row[1:]])
+        hio.write_table(out / name, header, (pair[side] for pair in rows))
 
 
 def _run_single(spec, out):
@@ -145,7 +128,12 @@ def _run_single(spec, out):
                 (q + 1, pred.rho_sq, wachter.theta_degrees(pred.s_x), sim_x,
                  wachter.theta_degrees(pred.s_y), sim_y)
             )
-        _write_angles_csv(out / "angles.csv", rows)
+        hio.write_table(
+            out / "angles.csv",
+            ["signal", "rho_sq", "theta_x_theory", "theta_x_sim",
+             "theta_y_theory", "theta_y_sim"],
+            rows,
+        )
     _print_spike_table(report)
     return EXIT_OK
 
@@ -190,19 +178,13 @@ def _run_mc_curve(spec, rho_grid, replications, out):
 
 def _run_theory_curve(spec, out):
     regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
-    with (out / "theory_curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho_sq", "z_rho", "theta_x_deg", "theta_y_deg"])
-        for rho_sq in np.linspace(regime.rho_c_sq + 1e-3, 1.0, 200):
-            pred = wachter.spike_prediction(rho_sq, regime)
-            writer.writerow(
-                [
-                    hio.fmt(rho_sq),
-                    hio.fmt(pred.z_rho),
-                    hio.fmt(wachter.theta_degrees(pred.s_x)),
-                    hio.fmt(wachter.theta_degrees(pred.s_y)),
-                ]
-            )
+    rows = []
+    for rho_sq in np.linspace(regime.rho_c_sq + 1e-3, 1.0, 200):
+        pred = wachter.spike_prediction(rho_sq, regime)
+        rows.append((rho_sq, pred.z_rho, wachter.theta_degrees(pred.s_x),
+                     wachter.theta_degrees(pred.s_y)))
+    hio.write_table(out / "theory_curve.csv",
+                    ["rho_sq", "z_rho", "theta_x_deg", "theta_y_deg"], rows)
     print("wrote theory_curve.csv")
     return EXIT_OK
 
@@ -276,8 +258,11 @@ def master_instance(K: int, M: int, S: int, seed: int):
 
 def master_check(K: int, M: int, S: int, seed: int) -> MasterCheck:
     """Secular roots and vector statistics of the instance ``seed`` against
-    the eigensolver and the measured cosines.  Raises DimensionError outside
-    the dimension regime and HdccaError when a formula fails."""
+    the eigensolver and the measured cosines.  Raises DimensionError unless
+    2 <= K <= M and (K, M, S) is in the dimension regime, and HdccaError
+    when a formula fails."""
+    if not 2 <= K <= M:
+        raise DimensionError(f"master-check needs 2 <= K <= M, got K={K} and M={M}")
     wachter.regime_from_dims(K, M, S)
     u_star, v_star, U_sub, V_sub = master_instance(K, M, S, seed)
     U = np.vstack([u_star, U_sub])
@@ -351,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="remove per-variable means across samples (default on)",
     )
     pa.add_argument("--gate-multiplier", type=float, default=5.0)
-    pa.add_argument("--bins", type=int, default=None)
+    pa.add_argument("--bins", type=hio.positive_int, default=None)
     pa.add_argument("--out-dir", default=".")
     pa.add_argument("--format", choices=["csv", "json", "both"], default="both")
     pa.add_argument("--pca", action="store_true", help="also write PCA spectra")
@@ -365,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="synthetic draws and Monte Carlo curves")
     ps.add_argument("--preset", default=None, help=f"one of {sorted(PRESETS)}")
     ps.add_argument("--spec", default=None, help="flat key=value spec file")
-    ps.add_argument("--replications", type=int, default=None)
+    ps.add_argument("--replications", type=hio.positive_int, default=None)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(func=cmd_simulate)

@@ -1,8 +1,9 @@
 """CSV ingestion, report serialisation, and flat sim-spec config files.
 
 CSV is the single data interchange format; reports additionally serialise to
-JSON (schema version 1).  All floating-point output uses 12 significant
-digits so identical inputs produce byte-identical files.
+JSON (schema version 1).  Every CSV file is written by ``write_table``, which
+renders floats with 12 significant digits; ``report.json`` writes floats at
+full ``repr`` precision.  Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +21,21 @@ from .inference import AnalysisReport, SpikeReport
 from .simulate import SimSpec
 
 SCHEMA_VERSION = 1
-SPIKE_COLUMNS = (
-    "index",
-    "lambda",
-    "rho_sq",
-    "rho_abs",
-    "theta_x_deg",
-    "theta_y_deg",
-    "sin2_x",
-    "sin2_y",
-    "method",
-    "gate_passed",
+# (column in spikes.csv and key in report.json, SpikeReport attribute)
+SPIKE_FIELDS = (
+    ("index", "index"),
+    ("lambda", "lam"),
+    ("rho_sq", "rho_sq_hat"),
+    ("rho_abs", "rho_abs"),
+    ("theta_x_deg", "theta_x_deg"),
+    ("theta_y_deg", "theta_y_deg"),
+    ("sin2_x", "sin2_x"),
+    ("sin2_y", "sin2_y"),
+    ("method", "method"),
+    ("gate_passed", "gate_passed"),
 )
+SPIKE_COLUMNS = tuple(column for column, _ in SPIKE_FIELDS)
+_FLOATS = (float, np.floating)
 
 
 def fmt(value) -> str:
@@ -114,8 +118,11 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
         raise ValueError(f"unknown orientation {orientation!r}")
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     values, labels, header = _parse_block(lines) or _parse_cells(lines, path)
 
     if orientation == "rows-are-samples":
@@ -223,101 +230,59 @@ def check_joint_samples(u: DataMatrix, v: DataMatrix) -> None:
 # Writers
 # ---------------------------------------------------------------------------
 
-def write_correlations_csv(path, correlations) -> None:
+def _cell(value):
+    """A table cell as written: ``fmt`` of a float, any other value as it is."""
+    return fmt(value) if isinstance(value, _FLOATS) else value
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV file: the header, then one line per row, each cell through
+    ``_cell``.  Pass numpy columns as ``.tolist()``: Python floats render
+    faster than numpy scalars."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rank", "lambda"])
-        for i, lam in enumerate(np.asarray(correlations), start=1):
-            writer.writerow([i, fmt(lam)])
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def write_correlations_csv(path, correlations) -> None:
+    write_table(path, ["rank", "lambda"],
+                enumerate(np.asarray(correlations).tolist(), start=1))
 
 
 def write_histogram_csv(path, histogram) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count", "wachter_density"])
-        edges = histogram.bin_edges
-        for i in range(histogram.counts.shape[0]):
-            writer.writerow(
-                [
-                    fmt(edges[i]),
-                    fmt(edges[i + 1]),
-                    int(histogram.counts[i]),
-                    fmt(histogram.density[i]),
-                ]
-            )
+    edges = histogram.bin_edges.tolist()
+    write_table(
+        path,
+        ["bin_left", "bin_right", "count", "wachter_density"],
+        zip(edges[:-1], edges[1:], histogram.counts.tolist(),
+            histogram.density.tolist()),
+    )
 
 
 def write_spikes_csv(path, spikes: list[SpikeReport]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPIKE_COLUMNS)
-        for s in spikes:
-            writer.writerow(
-                [
-                    s.index,
-                    fmt(s.lam),
-                    fmt(s.rho_sq_hat),
-                    fmt(s.rho_abs),
-                    fmt(s.theta_x_deg),
-                    fmt(s.theta_y_deg),
-                    fmt(s.sin2_x),
-                    fmt(s.sin2_y),
-                    s.method,
-                    s.gate_passed,
-                ]
-            )
+    write_table(path, SPIKE_COLUMNS,
+                ([getattr(s, attr) for _, attr in SPIKE_FIELDS] for s in spikes))
 
 
 def write_overlay_csv(path, overlay) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "wachter_density"])
-        for x, d in overlay:
-            writer.writerow([fmt(x), fmt(d)])
+    write_table(path, ["x", "wachter_density"], np.asarray(overlay).tolist())
 
 
 def write_pca_csv(path, eigenvalues) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "eigenvalue"])
-        for i, e in enumerate(np.asarray(eigenvalues), start=1):
-            writer.writerow([i, fmt(e)])
+    write_table(path, ["rank", "eigenvalue"],
+                enumerate(np.asarray(eigenvalues).tolist(), start=1))
 
 
 def _spike_dict(s: SpikeReport) -> dict:
-    return {
-        "index": s.index,
-        "lambda": s.lam,
-        "rho_sq": s.rho_sq_hat,
-        "rho_abs": s.rho_abs,
-        "theta_x_deg": s.theta_x_deg,
-        "theta_y_deg": s.theta_y_deg,
-        "sin2_x": s.sin2_x,
-        "sin2_y": s.sin2_y,
-        "method": s.method,
-        "gate_passed": s.gate_passed,
-        "gap": None if np.isnan(s.gap) else s.gap,
-    }
+    fields = {column: getattr(s, attr) for column, attr in SPIKE_FIELDS}
+    return {**fields, "gap": None if np.isnan(s.gap) else s.gap}
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    regime = None
-    if report.regime is not None:
-        r = report.regime
-        regime = {
-            "K": r.K,
-            "M": r.M,
-            "S": r.S,
-            "tau_K": r.tau_K,
-            "tau_M": r.tau_M,
-            "lambda_minus": r.lambda_minus,
-            "lambda_plus": r.lambda_plus,
-            "rho_c_sq": r.rho_c_sq,
-            "swapped": r.swapped,
-        }
     return {
         "schema_version": SCHEMA_VERSION,
-        "regime": regime,
+        "regime": None if report.regime is None else asdict(report.regime),
         "correlations": [float(v) for v in report.correlations],
         "spikes": [_spike_dict(s) for s in report.spikes],
         "empirical_spikes": [_spike_dict(s) for s in report.empirical_spikes],
@@ -340,23 +305,50 @@ def write_report_json(path, report: AnalysisReport) -> None:
 # Flat key-value sim-spec files
 # ---------------------------------------------------------------------------
 
-_SPEC_INT_FIELDS = {"K", "M", "S", "seed"}
-_SPEC_FLOAT_FIELDS = {"noise_df"}
-_SPEC_BOOL_FIELDS = {"mix"}
-_SPEC_TUPLE_FIELDS = {"signal_strengths", "signal_cov_scale"}
-_SPEC_STR_FIELDS = {"noise_law", "signal_mode"}
-_HARNESS_KEYS = {"replications", "rho_grid"}
+def positive_int(text) -> int:
+    """A count: an integer of at least 1.  Raises ValueError otherwise."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
+def _floats(value):
+    return tuple(float(v) for v in value.replace(",", " ").split())
+
+
+def _flag(value):
+    spelling = value.lower()
+    if spelling in ("1", "true", "yes", "on"):
+        return True
+    if spelling in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(value)
+
+
+# key -> parser of its value; a ValueError from the parser is a SpecError
+_SPEC_FIELDS = {
+    "K": int, "M": int, "S": int, "seed": int, "noise_df": float, "mix": _flag,
+    "signal_strengths": _floats, "signal_cov_scale": _floats,
+    "noise_law": str, "signal_mode": str,
+}
+_HARNESS_FIELDS = {"replications": positive_int, "rho_grid": _floats}
 
 
 def parse_sim_config(path):
     """Read a flat ``key = value`` file into (SimSpec, harness-extras dict).
 
     Harness keys (``replications``, ``rho_grid``) ride along in the same file
-    and are returned separately.
+    and are returned separately.  An unknown key or a value its key cannot
+    take raises SpecError with the line number.
     """
     fields: dict = {}
     extras: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -364,24 +356,14 @@ def parse_sim_config(path):
             raise SpecError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _SPEC_INT_FIELDS:
-            fields[key] = int(value)
-        elif key in _SPEC_FLOAT_FIELDS:
-            fields[key] = float(value)
-        elif key in _SPEC_BOOL_FIELDS:
-            fields[key] = value.lower() in ("1", "true", "yes", "on")
-        elif key in _SPEC_TUPLE_FIELDS:
-            fields[key] = tuple(
-                float(v) for v in value.replace(",", " ").split() if v
-            )
-        elif key in _SPEC_STR_FIELDS:
-            fields[key] = value
-        elif key == "replications":
-            extras[key] = int(value)
-        elif key == "rho_grid":
-            extras[key] = tuple(float(v) for v in value.replace(",", " ").split())
-        else:
+        target = extras if key in _HARNESS_FIELDS else fields
+        parse = _HARNESS_FIELDS.get(key) or _SPEC_FIELDS.get(key)
+        if parse is None:
             raise SpecError(f"line {line_no}: unknown key {key!r}")
+        try:
+            target[key] = parse(value)
+        except ValueError:
+            raise SpecError(f"line {line_no}: bad value {value!r} for {key!r}") from None
     missing = {"K", "M", "S"} - fields.keys()
     if missing:
         raise SpecError(f"config must set {sorted(missing)}")
@@ -406,7 +388,7 @@ def write_sim_config(path, spec: SimSpec, extras: dict | None = None) -> None:
         lines.append("mix = true")
     lines.append(f"seed = {spec.seed}")
     for key, value in (extras or {}).items():
-        if key not in _HARNESS_KEYS:
+        if key not in _HARNESS_FIELDS:
             raise SpecError(f"unknown harness key {key!r}")
         if isinstance(value, tuple):
             lines.append(f"{key} = " + ", ".join(fmt(v) for v in value))

@@ -136,6 +136,12 @@ class TestLoadCsv:
             with pytest.raises(ParseError):
                 load_csv(p, orientation=orientation)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes("caf\xe9,1.0,2.0\nbar,3.0,4.0\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="m.csv is not UTF-8"):
+            load_csv(p)
+
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1.0,2.0\n3.0,4.0,5.0\n")
@@ -283,9 +289,25 @@ class TestSimConfig:
         p.write_text("K = 5\nM = 6\nS = 50  # samples\n")
         spec, _ = parse_sim_config(p)
         assert (spec.K, spec.M, spec.S) == (5, 6, 50)
-        p.write_text("K = 5\nM = 6\nS = 50\nbogus = 1\n")
-        with pytest.raises(SpecError):
+        for bad in ("bogus = 1", "K = abc", "replications = x", "replications = 0",
+                    "mix = maybe", "signal_strengths = 0.5, x", "noise_df = five"):
+            p.write_text(f"K = 5\nM = 6\nS = 50\n{bad}\n")
+            with pytest.raises(SpecError, match="line 4: "):
+                parse_sim_config(p)
+
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "spec.cfg"
+        p.write_bytes("K = 5\nM = 6\nS = 50\nnoise_law = caf\xe9\n".encode("latin-1"))
+        with pytest.raises(SpecError, match="spec.cfg is not UTF-8"):
             parse_sim_config(p)
+
+    def test_flag_spellings(self, tmp_path):
+        p = tmp_path / "spec.cfg"
+        for value, expected in (("true", True), ("Yes", True), ("on", True), ("1", True),
+                                ("false", False), ("No", False), ("off", False),
+                                ("0", False)):
+            p.write_text(f"K = 5\nM = 6\nS = 50\nmix = {value}\n")
+            assert parse_sim_config(p)[0].mix is expected, value
 
 
 class TestCliAnalyze:
@@ -311,6 +333,8 @@ class TestCliAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == 1
         assert len(report["empirical_spikes"]) == 1
+        for spike in report["spikes"] + report["empirical_spikes"]:
+            assert set(spike) == {*SPIKE_COLUMNS, "gap"}
         with (out / "histogram.csv").open() as fh:
             hist = list(csv.DictReader(fh))
         assert sum(int(r["count"]) for r in hist) == 5  # non-spike correlations
@@ -363,6 +387,24 @@ class TestCliAnalyze:
     def test_missing_file_exit_2(self, tmp_path):
         code = main(["analyze", str(tmp_path / "no.csv"), str(tmp_path / "no2.csv")])
         assert code == 2
+
+    def test_unreadable_inputs_exit_2(self, tmp_path, capsys):
+        v_csv = tmp_path / "v.csv"
+        write_matrix_csv(v_csv, np.ones((2, 5)))
+        assert main(["analyze", str(tmp_path), str(v_csv)]) == 2
+        assert main(["pca", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
+        u_csv = tmp_path / "u.csv"
+        u_csv.write_bytes(b"1.0,2.0,3.0,4.0,5.0\n\xff,1.0,2.0,3.0,4.0\n")
+        assert main(["analyze", str(u_csv), str(v_csv)]) == 2
+        assert "u.csv is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bins", ["0", "-2", "x"])
+    def test_bad_bins_exit_2(self, tmp_path, bins):
+        rng = np.random.default_rng(2)
+        U, V = rng.standard_normal((5, 60)), rng.standard_normal((6, 60))
+        with pytest.raises(SystemExit) as info:
+            self.run_panels(tmp_path, U, V, "--bins", bins)
+        assert info.value.code == 2
 
     def test_mismatched_samples_exit_2(self, tmp_path):
         u_csv, v_csv = tmp_path / "u.csv", tmp_path / "v.csv"
@@ -486,6 +528,20 @@ class TestCliSimulate:
             )
             assert row["theta_mean"] == fmt(mc_angles(point, 3).mean_theta_x[0])
 
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_bad_replications_exit_2(self, tmp_path, replications):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--preset", "desk", "--replications", replications,
+                  "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_bad_spec_value_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("K = 20\nM = 30\nS = 200\nmix = maybe\n")
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "line 4: " in capsys.readouterr().err
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["simulate", "--preset", "nope", "--out-dir", str(tmp_path)]) == 2
 
@@ -545,6 +601,12 @@ class TestCliMasterCheck:
 
     def test_regime_violation_exit_3(self):
         assert main(["master-check", "--dims", "20", "25", "40"]) == 3
+
+    @pytest.mark.parametrize("dims", [("1", "2", "10"), ("5", "1", "20"), ("0", "5", "20")])
+    def test_rejected_dims_exit_3(self, dims, capsys):
+        assert main(["master-check", "--dims", *dims]) == 3
+        K, M, _ = dims
+        assert f"got K={K} and M={M}" in capsys.readouterr().err
 
     def test_seeded_repeatable(self, capsys):
         main(["master-check", "--seed", "5"])

@@ -22,12 +22,14 @@ panels whose Gram guard is decided by its exact eigenvalue test; CSV
 ingestion (labels with a header, ``rows-are-samples`` with and without a
 header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``, and one
 exit per input error: an empty, ``na``, ``inf`` or non-numeric cell, a ragged
-row, a label-only file);
+row, a label-only file, a file that is not UTF-8, a directory, ``--bins 0``);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including Monte Carlo runs large enough to draw on a worker thread (uniform
-and Student-t noise, mixing), regime violations and an unknown preset; and
+and Student-t noise, mixing), regime violations, an unknown preset,
+``--replications 0`` and a spec value its key cannot take; and
 ``master-check`` at two sizes over several seeds, plus instances with a root
-near a noise pole or a cancelled secular sum.
+near a noise pole or a cancelled secular sum, and dimensions it rejects
+(K = 1, K > M).
 """
 
 from __future__ import annotations
@@ -131,6 +133,11 @@ def make_inputs(inputs):
     lines[3] += ",1.0"
     (inputs / "err_ragged.csv").write_text("\n".join(lines) + "\n")
     (inputs / "err_labels_only.csv").write_text("name\na\nb\nc\n")
+    # a Latin-1 label, which is not UTF-8
+    labels = ["caf\xe9"] + [f"v{i}" for i in range(1, len(X))]
+    lines = [",".join([label] + [repr(float(v)) for v in row])
+             for label, row in zip(labels, X)]
+    (inputs / "err_not_utf8.csv").write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     _write_panel(inputs / "err_v.csv", np.random.default_rng(9).standard_normal((6, 30)))
 
     specs = {
@@ -158,6 +165,7 @@ def make_inputs(inputs):
         "regime_mc": "K = 50\nM = 60\nS = 100\nsignal_strengths = 0.8\n"
         "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 15\n"
         "replications = 3\n",
+        "bad_value": "K = abc\nM = 60\nS = 400\n",
     }
     for name, text in specs.items():
         (inputs / f"{name}.cfg").write_text(text)
@@ -202,6 +210,7 @@ def runs():
         ("sim_fig2", ["simulate", "--preset", "fig2"]),
         ("sim_fig7", ["simulate", "--preset", "fig7"]),
         ("sim_unknown", ["simulate", "--preset", "no-such-preset"]),
+        ("sim_replications_0", ["simulate", "--preset", "desk", "--replications", "0"]),
         ("spec_single", ["simulate", "--spec", "../inputs/single.cfg"]),
         ("spec_single_seed",
          ["simulate", "--spec", "../inputs/single.cfg", "--seed", "21"]),
@@ -212,8 +221,13 @@ def runs():
         ("spec_curve", ["simulate", "--spec", "../inputs/curve.cfg"]),
         ("spec_regime_single", ["simulate", "--spec", "../inputs/regime_single.cfg"]),
         ("spec_regime_mc", ["simulate", "--spec", "../inputs/regime_mc.cfg"]),
+        ("spec_bad_value", ["simulate", "--spec", "../inputs/bad_value.cfg"]),
+        ("analyze_bins_0", ["analyze", *panel("plain"), "--bins", "0"]),
+        ("csv_err_directory", ["analyze", "../inputs", "../inputs/err_v.csv"]),
+        ("master_k1", ["master-check", "--dims", "1", "2", "10"]),
+        ("master_k_above_m", ["master-check", "--dims", "5", "1", "20"]),
     ]
-    for name in ("empty", "na", "inf", "text", "ragged", "labels_only"):
+    for name in ("empty", "na", "inf", "text", "ragged", "labels_only", "not_utf8"):
         out.append((f"csv_err_{name}",
                     ["analyze", f"../inputs/err_{name}.csv", "../inputs/err_v.csv"]))
     for seed in (0, 7, *range(34000, 34012)):
