@@ -243,17 +243,18 @@ class MasterCheck(NamedTuple):
 
 
 def master_instance(K: int, M: int, S: int, seed: int):
-    """``master-check``'s random instance: Gaussian noise panels ``U_sub``
-    ((K-1) x S) and ``V_sub`` ((M-1) x S) and unit vectors ``u_star`` and
-    ``v_star``, returned as ``(u_star, v_star, U_sub, V_sub)``."""
+    """``master-check``'s random instance as one K x S panel ``U`` and one
+    M x S panel ``V``.  Rows 1 onward are Gaussian noise, ``U_sub`` and
+    ``V_sub``; row 0 holds the unit vectors ``u_star`` and ``v_star``.  They
+    are drawn in the order ``U_sub``, ``V_sub``, ``u_star``, ``v_star``."""
     rng = seeded_rng(seed)
-    U_sub = rng.standard_normal((K - 1, S))
-    V_sub = rng.standard_normal((M - 1, S))
-    u_star = rng.standard_normal(S)
-    u_star /= np.linalg.norm(u_star)
-    v_star = rng.standard_normal(S)
-    v_star /= np.linalg.norm(v_star)
-    return u_star, v_star, U_sub, V_sub
+    U = np.empty((K, S))
+    V = np.empty((M, S))
+    for rows in (U[1:], V[1:], U[0], V[0]):
+        rng.standard_normal(out=rows)
+    for star in (U[0], V[0]):
+        star /= np.linalg.norm(star)
+    return U, V
 
 
 def master_check(K: int, M: int, S: int, seed: int) -> MasterCheck:
@@ -264,11 +265,10 @@ def master_check(K: int, M: int, S: int, seed: int) -> MasterCheck:
     if not 2 <= K <= M:
         raise DimensionError(f"master-check needs 2 <= K <= M, got K={K} and M={M}")
     wachter.regime_from_dims(K, M, S)
-    u_star, v_star, U_sub, V_sub = master_instance(K, M, S, seed)
-    U = np.vstack([u_star, U_sub])
-    V = np.vstack([v_star, V_sub])
+    U, V = master_instance(K, M, S, seed)
+    u_star, v_star = U[0], V[0]
 
-    inputs = master.MasterInputs.from_matrices(u_star, v_star, U_sub, V_sub)
+    inputs = master.MasterInputs.from_matrices(u_star, v_star, U[1:], V[1:])
     roots = master.master_roots(inputs)
     res = sample_cca(U, V)
     lam = res.correlations_sq
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="remove per-variable means across samples (default on)",
     )
-    pa.add_argument("--gate-multiplier", type=float, default=5.0)
+    pa.add_argument("--gate-multiplier", type=hio.positive_float, default=5.0)
     pa.add_argument("--bins", type=hio.positive_int, default=None)
     pa.add_argument("--out-dir", default=".")
     pa.add_argument("--format", choices=["csv", "json", "both"], default="both")
@@ -351,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--preset", default=None, help=f"one of {sorted(PRESETS)}")
     ps.add_argument("--spec", default=None, help="flat key=value spec file")
     ps.add_argument("--replications", type=hio.positive_int, default=None)
-    ps.add_argument("--seed", type=int, default=None)
+    ps.add_argument("--seed", type=hio.nonnegative_int, default=None)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(func=cmd_simulate)
 
     pm = sub.add_parser(
         "master-check", help="verify the exact secular equations on a random instance"
     )
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--seed", type=hio.nonnegative_int, default=0)
     pm.add_argument(
         "--dims", type=int, nargs=3, default=[6, 9, 40], metavar=("K", "M", "S")
     )

@@ -36,6 +36,9 @@ SPIKE_FIELDS = (
 )
 SPIKE_COLUMNS = tuple(column for column, _ in SPIKE_FIELDS)
 _FLOATS = (float, np.floating)
+# text read per np.loadtxt call by load_csv: big enough that the per-call cost
+# vanishes, small enough that the text never outweighs the panel
+_CHUNK_BYTES = 1 << 20
 
 
 def fmt(value) -> str:
@@ -106,13 +109,16 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     non-numeric column holds variable labels and an optional non-numeric
     first row is skipped as a header.  ``rows-are-samples``: each row is one
     observation; an optional header row holds the variable labels.  When
-    ``demean`` is set, each variable's mean across samples is removed.
-    Empty, non-numeric or non-finite cells, ragged rows and files without a
-    numeric column raise ParseError (MissingValue for empty cells).
+    ``demean`` is set, each variable's mean across samples is removed, in
+    place.  Empty, non-numeric or non-finite cells, ragged rows and files
+    without a numeric column raise ParseError (MissingValue for empty cells).
 
-    The numeric block is parsed in one vectorised call; a file that call
-    cannot take whole (quotes, empty, bad or non-finite cells, ragged rows)
-    is parsed cell by cell, which also locates the first bad cell.
+    The file is read in chunks of about ``_CHUNK_BYTES`` of whole lines, and
+    each chunk's numeric block is parsed in one vectorised call, so the text
+    held at once stays near one chunk whatever the file's size.  A file that
+    these calls cannot take whole (quotes, empty, bad or non-finite cells,
+    ragged rows) is read again and parsed cell by cell, which also locates
+    the first bad cell.
     """
     if orientation not in ("rows-are-variables", "rows-are-samples"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -120,10 +126,13 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+            parsed = _parse_block(fh)
+        if parsed is None:
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    values, labels, header = _parse_block(lines) or _parse_cells(lines, path)
+    values, labels, header = parsed or _parse_cells(lines, path)
 
     if orientation == "rows-are-samples":
         # a C-order copy de-means with the same arithmetic as the other
@@ -131,7 +140,7 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
         values = np.ascontiguousarray(values.T)
         labels = header[-values.shape[0]:] if header else []
     if demean:
-        values = values - values.mean(axis=1, keepdims=True)
+        values -= values.mean(axis=1, keepdims=True)
     return DataMatrix(
         values=values,
         row_labels=labels if labels else None,
@@ -139,40 +148,54 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     )
 
 
-def _parse_block(lines):
-    """``(values, labels, header)`` from one ``np.loadtxt`` over the numeric
-    block, or None when the file needs ``_parse_cells``.
+def _parse_block(fh):
+    """``(values, labels, header)`` from one ``np.loadtxt`` per chunk of the
+    numeric block, or None when the file needs ``_parse_cells``.
 
     Without quotes a line's cells are its comma-separated fields, which is
     what ``csv.reader`` gives, so header and label detection see the same
-    cells as in ``_parse_cells``.  The result stands only when every cell is
-    finite and the block has one row per data line and the first row's width.
+    cells as in ``_parse_cells``.  The first line with cells decides the
+    header and the first data line decides labels and width.  The result
+    stands only when every cell is finite and each chunk has one row per data
+    line and the first row's width; ``np.loadtxt`` parses each line on its
+    own, so the chunks give the bits one call over the whole file would.
     """
-    lines = [line for line in lines if _has_cells(line)]
-    if not lines or any('"' in line for line in lines):
-        return None
-    header = None
-    first = lines[0].rstrip("\r\n").split(",")
-    if _is_header(first):
-        header = [c.strip() for c in first]
-        lines = lines[1:]
-        if not lines:
-            return None
+    header = labeled = width = None
     labels = []
-    if _is_label(lines[0].partition(",")[0]):
-        split = [line.partition(",") for line in lines]
-        labels = [head.strip() for head, _, _ in split]
-        lines = [tail for _, _, tail in split]
-    if not lines[0].rstrip("\r\n"):
-        return None  # a label-only first row
-    width = lines[0].count(",") + 1
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
+    blocks = []
+    while lines := fh.readlines(_CHUNK_BYTES):
+        lines = [line for line in lines if _has_cells(line)]
+        if not lines:
+            continue
+        if any('"' in line for line in lines):
+            return None
+        if header is None and labeled is None:  # the file's first line
+            cells = lines[0].rstrip("\r\n").split(",")
+            if _is_header(cells):
+                header = [c.strip() for c in cells]
+                lines = lines[1:]
+                if not lines:
+                    continue
+        if labeled is None:
+            labeled = _is_label(lines[0].partition(",")[0])
+        if labeled:
+            split = [line.partition(",") for line in lines]
+            labels += [head.strip() for head, _, _ in split]
+            lines = [tail for _, _, tail in split]
+        if width is None:
+            if not lines[0].rstrip("\r\n"):
+                return None  # a label-only first row
+            width = lines[0].count(",") + 1
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            return None
+        if block.shape != (len(lines), width) or not np.isfinite(block).all():
+            return None
+        blocks.append(block)
+    if not blocks:
         return None
-    if values.shape != (len(lines), width) or not np.isfinite(values).all():
-        return None
-    return values, labels, header
+    return np.concatenate(blocks), labels, header
 
 
 def _has_cells(line):
@@ -313,6 +336,22 @@ def positive_int(text) -> int:
     return value
 
 
+def nonnegative_int(text) -> int:
+    """A seed: an integer of at least 0.  Raises ValueError otherwise."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is below 0")
+    return value
+
+
+def positive_float(text) -> float:
+    """A scale: a finite number above 0.  Raises ValueError otherwise."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{value} is not a finite number above 0")
+    return value
+
+
 def _floats(value):
     return tuple(float(v) for v in value.replace(",", " ").split())
 
@@ -328,7 +367,8 @@ def _flag(value):
 
 # key -> parser of its value; a ValueError from the parser is a SpecError
 _SPEC_FIELDS = {
-    "K": int, "M": int, "S": int, "seed": int, "noise_df": float, "mix": _flag,
+    "K": int, "M": int, "S": int, "seed": nonnegative_int, "noise_df": float,
+    "mix": _flag,
     "signal_strengths": _floats, "signal_cov_scale": _floats,
     "noise_law": str, "signal_mode": str,
 }

@@ -215,11 +215,14 @@ class TestLoadCsvFastPath:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(text=csv_texts(), orientation=st.sampled_from(
-        ["rows-are-variables", "rows-are-samples"]))
-    def test_matches_cell_loop(self, tmp_path, text, orientation):
+        ["rows-are-variables", "rows-are-samples"]),
+        chunk=st.sampled_from([1, 12, hio._CHUNK_BYTES]))
+    def test_matches_cell_loop(self, tmp_path, text, orientation, chunk):
         p = tmp_path / "grid.csv"
         p.write_bytes(text.encode())
-        assert load_outcome(p, orientation) == load_outcome(p, orientation, fast=False)
+        with mock.patch.object(hio, "_CHUNK_BYTES", chunk):
+            fast = load_outcome(p, orientation)
+        assert fast == load_outcome(p, orientation, fast=False)
 
     @pytest.mark.parametrize("text, orientation, expected", [
         ("1,2\n#1,4\n", "rows-are-variables", (ParseError, 2, 1)),
@@ -270,6 +273,114 @@ class TestLoadCsvFastPath:
         dm = load_csv(p, demean=False)
         assert np.array_equal(dm.values, values)
         assert dm.row_labels == list("abcd")
+
+
+def panel_text(X, *, header=False, labeled=False, eol="\n"):
+    """CSV text of X at full precision, with an optional header line and
+    label column."""
+    lines = [",".join(["name"] * labeled + [f"s{j}" for j in range(X.shape[1])])
+             ] if header else []
+    lines += [",".join([f"r{i}"] * labeled + [repr(float(v)) for v in row])
+              for i, row in enumerate(X)]
+    return eol.join(lines) + eol
+
+
+class TestLoadCsvChunks:
+    """``load_csv`` with chunks of a few lines or one: where the chunks
+    break must show in neither the values nor the errors."""
+
+    @pytest.mark.parametrize("chunk", [1, 200])
+    @pytest.mark.parametrize("orientation", ["rows-are-variables", "rows-are-samples"])
+    @pytest.mark.parametrize("header, labeled, eol", [
+        (False, False, "\n"), (True, True, "\n"), (True, False, "\r\n"),
+        (False, True, "\r\n"),
+    ])
+    def test_matches_cell_loop(self, tmp_path, monkeypatch, chunk, orientation,
+                               header, labeled, eol):
+        X = np.random.default_rng(21).standard_normal((40, 9))
+        text = panel_text(X, header=header, labeled=labeled, eol=eol)
+        lines = text.split(eol)
+        lines.insert(25, ",,")  # a blank row inside a later chunk
+        p = tmp_path / "m.csv"
+        p.write_bytes(eol.join(lines).encode())
+        expected = load_outcome(p, orientation, fast=False)
+
+        def per_cell(*args):
+            raise AssertionError("a clean file was parsed cell by cell")
+
+        loadtxt, calls = np.loadtxt, []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(hio, "_parse_cell", per_cell)
+        monkeypatch.setattr(hio.np, "loadtxt", counting)
+        assert load_outcome(p, orientation) == expected
+        assert sum(calls) == 40 and len(calls) >= 5
+        has_labels = labeled if orientation == "rows-are-variables" else header
+        assert (expected[2] is not None) == has_labels
+
+    @pytest.mark.parametrize("edit, expected", [
+        (("cell", "abc"), (ParseError, 31, 4)),
+        (("cell", ""), (MissingValue, 31, 4)),
+        (("cell", "inf"), (ParseError, 31, 4)),
+        (("cell", '"0.5"'), None),
+        (("ragged", ",1.0"), (ParseError, 36, None)),
+        (("ragged", ""), (ParseError, 36, None)),
+    ])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_error_in_later_chunk(self, tmp_path, monkeypatch, edit, expected, labeled):
+        X = np.random.default_rng(22).standard_normal((40, 6))
+        lines = panel_text(X, labeled=labeled).splitlines()
+        kind, text = edit
+        if kind == "cell":
+            cells = lines[30].split(",")
+            cells[3 + labeled] = text
+            lines[30] = ",".join(cells)
+        else:
+            lines[35] = lines[35].rpartition(",")[0] if not text else lines[35] + text
+        p = tmp_path / "m.csv"
+        p.write_text("\n".join(lines) + "\n")
+        reference = load_outcome(p, fast=False)
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 300)
+        outcome = load_outcome(p)
+        assert outcome == reference
+        if expected is None:
+            X[30, 3] = 0.5
+            assert outcome[0] == X.tobytes()
+        else:
+            assert outcome[:3] == expected
+
+    def test_not_utf8_in_later_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 300)
+        lines = panel_text(np.ones((40, 6))).splitlines()
+        p = tmp_path / "m.csv"
+        p.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff,1.0\n")
+        with pytest.raises(ParseError, match="m.csv is not UTF-8"):
+            load_csv(p)
+        # a bad cell before the bad byte: the file is still not UTF-8 first
+        lines[2] = "abc" + lines[2]
+        p.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff,1.0\n")
+        with pytest.raises(ParseError, match="m.csv is not UTF-8"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "is empty"),
+        ("\n,,\n  \n", "is empty"),
+        ("name,s1,s2\n", "has a header but no data"),
+        ("\nname,s1,s2\n,,\n\n", "has a header but no data"),
+        ("name\na\nb\nc\n", "has labels but no numeric columns"),
+        ("a\nb\n", "has labels but no numeric columns"),
+    ])
+    def test_files_without_data(self, tmp_path, monkeypatch, text, message):
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 1)
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        for orientation in ("rows-are-variables", "rows-are-samples"):
+            with pytest.raises(ParseError, match=f"m.csv {message}$"):
+                load_csv(p, orientation=orientation)
 
 
 class TestSimConfig:
@@ -405,6 +516,15 @@ class TestCliAnalyze:
         with pytest.raises(SystemExit) as info:
             self.run_panels(tmp_path, U, V, "--bins", bins)
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "0", "-1", "x"])
+    def test_bad_gate_multiplier_exit_2(self, tmp_path, multiplier):
+        rng = np.random.default_rng(2)
+        U, V = rng.standard_normal((5, 60)), rng.standard_normal((6, 60))
+        with pytest.raises(SystemExit) as info:
+            self.run_panels(tmp_path, U, V, "--gate-multiplier", multiplier)
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_mismatched_samples_exit_2(self, tmp_path):
         u_csv, v_csv = tmp_path / "u.csv", tmp_path / "v.csv"
@@ -542,6 +662,18 @@ class TestCliSimulate:
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "line 4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [["--preset", "desk"], ["--spec", "S"]])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, source):
+        cfg = tmp_path / "S"
+        cfg.write_text("K = 20\nM = 30\nS = 200\n")
+        source = [str(cfg) if a == "S" else a for a in source]
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", *source, "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        cfg.write_text("K = 20\nM = 30\nS = 200\nseed = -1\n")
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "line 4: bad value '-1' for 'seed'" in capsys.readouterr().err
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["simulate", "--preset", "nope", "--out-dir", str(tmp_path)]) == 2
 
@@ -607,6 +739,11 @@ class TestCliMasterCheck:
         assert main(["master-check", "--dims", *dims]) == 3
         K, M, _ = dims
         assert f"got K={K} and M={M}" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self):
+        with pytest.raises(SystemExit) as info:
+            main(["master-check", "--seed", "-1"])
+        assert info.value.code == 2
 
     def test_seeded_repeatable(self, capsys):
         main(["master-check", "--seed", "5"])

@@ -225,7 +225,8 @@ def bisection_reference(inputs, roots):
 
 
 def check_instance(K, M, S, seed):
-    return MasterInputs.from_matrices(*master_instance(K, M, S, seed))
+    U, V = master_instance(K, M, S, seed)
+    return MasterInputs.from_matrices(U[0], V[0], U[1:], V[1:])
 
 
 class TestSolver:

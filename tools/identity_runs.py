@@ -20,9 +20,11 @@ regime-violating, wide (more rows than samples, with and without de-meaning),
 ill-conditioned (QR route), collinear and desk-size three-spike panels, and
 panels whose Gram guard is decided by its exact eigenvalue test; CSV
 ingestion (labels with a header, ``rows-are-samples`` with and without a
-header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``, and one
-exit per input error: an empty, ``na``, ``inf`` or non-numeric cell, a ragged
-row, a label-only file, a file that is not UTF-8, a directory, ``--bins 0``);
+header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``,
+labelled panels of several ``load_csv`` chunks, and one exit per input error:
+an empty, ``na``, ``inf`` or non-numeric cell, a non-numeric cell past the
+first chunk, a ragged row, a label-only file, a file that is not UTF-8, a
+directory, ``--bins 0``);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including Monte Carlo runs large enough to draw on a worker thread (uniform
 and Student-t noise, mixing), regime violations, an unknown preset,
@@ -121,6 +123,19 @@ def make_inputs(inputs):
         path = inputs / f"bom_{side}.csv"
         _write_panel(path, X)
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    # labelled rows-are-samples panels with CRLF endings, several load_csv
+    # chunks each, and the u panel with a non-numeric cell past its first chunk
+    U, V = _signal_panels(19, 40, 60, 4000, (0.7,))
+    samples = [f"t{j + 1}" for j in range(U.shape[1])]
+    for side, X in (("u", U), ("v", V)):
+        names = [f"{side}{i + 1}" for i in range(X.shape[0])]
+        _write_panel(inputs / f"chunks_{side}.csv", X.T, header=["sample"] + names,
+                     labels=samples, eol="\r\n")
+    lines = (inputs / "chunks_u.csv").read_bytes().split(b"\r\n")
+    cells = lines[3001].split(b",")
+    cells[5] = b"abc"
+    lines[3001] = b",".join(cells)
+    (inputs / "err_late_cell.csv").write_bytes(b"\r\n".join(lines))
     # input errors: one bad cell or row in a small panel
     X = np.random.default_rng(8).standard_normal((5, 30))
     for name, cell in (("empty", ""), ("na", "na"), ("inf", "inf"), ("text", "abc")):
@@ -200,6 +215,11 @@ def runs():
         ("csv_bom", ["analyze", *panel("bom"), *extra]),
         ("csv_crlf", ["analyze", *panel("crlf"), *extra]),
         ("csv_quoted", ["analyze", *panel("quoted"), *extra]),
+        ("csv_chunks", ["analyze", *panel("chunks"), *extra,
+                        "--orientation", "rows-are-samples"]),
+        ("csv_err_late_cell", ["analyze", "../inputs/err_late_cell.csv",
+                               "../inputs/chunks_v.csv",
+                               "--orientation", "rows-are-samples"]),
         ("csv_pca", ["pca", "../inputs/labeled_u.csv"]),
         ("csv_pca_samples", ["pca", "../inputs/samples_v.csv", "--no-demean",
                              "--orientation", "rows-are-samples"]),
