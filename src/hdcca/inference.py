@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import (
     CcaResult,
-    _correlations,
+    _factor,
     _panels,
     _regime_note,
     _spanning_correlations,
@@ -262,7 +262,7 @@ def analyze(
     U, V = _panels(U, V, demean)
     K, M, S = U.shape[0], V.shape[0], U.shape[1]
     try:
-        lam = _correlations(U, V)
+        lam = _factor(U, V, 0)[0]
     except RankDeficient:
         if max(K, M) < S:
             raise

@@ -24,11 +24,18 @@ is within the limit.  Only when it fails do the exact eigenvalues from
 ``eigvalsh`` decide, so every input takes the route the exact test alone
 would give it.
 
-Every solve with a Cholesky factor (the whitening, which overwrites the cross
-product, weight recovery, ``canonical_bases`` and ``population_cca``) is a
-blocked triangular substitution, ``_tri_solve``.  It is backward stable, as
-LU is (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, ch. 8),
-and skips LU's factorisation of the whole factor.
+The spectral step takes ``eigh`` of the smaller of ``T T^T`` and ``T^T T``
+for the whitened cross product ``T`` and forms the other side's vectors only
+for the pairs the caller reads, as ``T^T a_i / sigma_i``.  Their error grows
+like eps (sigma_1 / sigma_i)^2, so below ``_PAIR_RATIO`` the thin SVD of ``T``
+gives the pairs instead.  ``analyze`` takes the eigenvalues alone.
+
+The whitening multiplies by the inverses of each factor's diagonal blocks: a
+block factors a Schur complement of a Gram matrix that passed the guard, so
+its inverse is accurate to about 100 eps (Higham, ch. 14).  Narrow solves
+(weights, ``canonical_bases``, ``population_cca``) keep ``np.linalg.solve``
+per block, backward stable as LU is (Higham, ch. 8): a product's bits depend
+on its column count, and the Monte Carlo harness must match ``sample_cca``.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ class CcaResult:
 _COND_LIMIT = 1e12   # largest tolerated condition number of a Gram matrix
 _GRAM_COND_LIMIT = 1e4   # largest Gram condition number the Cholesky route takes
 _TRI_BLOCK = 64          # rows per diagonal block of the triangular solves
+_INV_BLOCK = 32          # rows per inverted diagonal block of the whitening
+_PAIR_RATIO = 1e-2       # least sigma_i / sigma_1 of a pair formed as T^T a / sigma
 
 
 def _orthonormal_rows(X, name):
@@ -138,13 +147,13 @@ def _panels(U, V, demean):
     return U, V
 
 
-def _qr_route(U, V):
+def _qr_route(U, V, n=None):
     """``_factor`` from thin QR factors ``X^T = Q R`` of both panels and the SVD
     of ``Qu^T Qv``; the reference the Cholesky route is tested against."""
     Qu, Ru = _orthonormal_rows(U, "U")
     Qv, Rv = _orthonormal_rows(V, "V")
     A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
-    return np.clip(sigma**2, 0.0, 1.0), (U, Qu, Ru, A), (V, Qv, Rv, Bt.T)
+    return np.clip(sigma**2, 0.0, 1.0), (U, Qu, Ru, A[:, :n]), (V, Qv, Rv, Bt.T[:, :n])
 
 
 def _gram_cholesky(X):
@@ -170,32 +179,29 @@ def _gram_cholesky(X):
     return np.linalg.cholesky(gram)
 
 
-def _tri_solve(L, B, trans=False):
+def _tri_solve(L, B, trans=False, inverse=False):
     """Overwrite ``B`` with ``L^-1 B`` (``L^-T B`` when ``trans``) for a lower
-    triangular ``L`` and return it.  Blocked substitution: ``np.linalg.solve``
-    on each ``_TRI_BLOCK``-row diagonal block, one matrix product per block for
-    the rows already solved.  ``B`` may be a transposed view, so the right-side
-    solve ``C L^-T`` is ``_tri_solve(L, C.T)`` in place."""
+    triangular ``L`` and return it, by blocked substitution: each diagonal
+    block by ``np.linalg.solve``, or by a product with its ``np.linalg.inv``
+    when ``inverse``.  ``B`` may be a transposed view, so the right-side solve
+    ``C L^-T`` is ``_tri_solve(L, C.T)`` in place."""
     T = L.T if trans else L
-    n = T.shape[0]
-    if n <= _TRI_BLOCK:
-        # one block: the loop's bookkeeping would cost Monte Carlo runs of
-        # small panels a few percent
-        B[...] = np.linalg.solve(T, B)
-        return B
-    blocks = range(0, n, _TRI_BLOCK)
+    n, step = T.shape[0], _INV_BLOCK if inverse else _TRI_BLOCK
+    blocks = range(0, n, step)
     for i in reversed(blocks) if trans else blocks:
-        j = i + _TRI_BLOCK
+        j = i + step
         solved = slice(j, n) if trans else slice(0, i)
-        B[i:j] -= T[i:j, solved] @ B[solved]
-        B[i:j] = np.linalg.solve(T[i:j, i:j], B[i:j])
+        if n > step:
+            B[i:j] -= T[i:j, solved] @ B[solved]
+        D = T[i:j, i:j]
+        B[i:j] = np.linalg.inv(D) @ B[i:j] if inverse else np.linalg.solve(D, B[i:j])
     return B
 
 
 def _whiten(Lu, Lv, cross):
     """``Lu^-1 C Lv^-T`` for a cross block ``C``, computed in ``C``'s memory."""
-    _tri_solve(Lv, cross.T)
-    return _tri_solve(Lu, cross)
+    _tri_solve(Lv, cross.T, inverse=True)
+    return _tri_solve(Lu, cross, inverse=True)
 
 
 def _whitened(U, V):
@@ -206,29 +212,31 @@ def _whitened(U, V):
     return None if Lv is None else (Lu, Lv, _whiten(Lu, Lv, U @ V.T))
 
 
-def _factor(U, V):
-    """Squared canonical correlations (descending) and each side's
-    ``(X, Q, R, A)``: the panel, the thin Q of ``X^T`` (None on the Cholesky
-    route), a triangular ``R`` with ``R^T R = X X^T`` and the singular vectors
-    of the whitened cross product as columns of ``A``."""
+def _factor(U, V, n=None):
+    """Squared canonical correlations (descending) and, for the first ``n``
+    pairs (all by default), each side's ``(X, Q, R, A)``: the panel, the thin
+    Q of ``X^T`` (None on the Cholesky route), a triangular ``R`` with
+    ``R^T R = X X^T`` and the singular vectors of ``T`` as columns of ``A``.
+    ``n = 0`` asks for the correlations alone."""
     whitened = _whitened(U, V)
     if whitened is None:
-        return _qr_route(U, V)
+        return _qr_route(U, V, n)
     Lu, Lv, T = whitened
-    A, sigma, Bt = np.linalg.svd(T, full_matrices=False)
-    return np.clip(sigma**2, 0.0, 1.0), (U, None, Lu.T, A), (V, None, Lv.T, Bt.T)
-
-
-def _correlations(U, V):
-    """``_factor``'s correlations alone: the eigenvalues of ``T T^T`` (or
-    ``T^T T``, whichever is smaller) for ``_whitened``'s ``T``, or
-    ``_qr_route``'s correlations with its ``RankDeficient`` checks."""
-    whitened = _whitened(U, V)
-    if whitened is None:
-        return _qr_route(U, V)[0]
-    T = whitened[2]
-    small = T @ T.T if T.shape[0] <= T.shape[1] else T.T @ T
-    return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
+    wide = T.shape[0] <= T.shape[1]
+    small = T @ T.T if wide else T.T @ T
+    if n == 0:
+        return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0), None, None
+    lam, Z = np.linalg.eigh(small)
+    lam = np.clip(lam[::-1], 0.0, 1.0)
+    sigma = np.sqrt(lam[:n])
+    if sigma[-1] > _PAIR_RATIO * sigma[0]:
+        Z = Z[:, ::-1][:, :n].copy()
+        other = ((T.T if wide else T) @ Z) / sigma
+        A, B = (Z, other) if wide else (other, Z)
+    else:  # a pair too weak for T^T a / sigma, or no correlation at all
+        A, sigma, Bt = np.linalg.svd(T, full_matrices=False)
+        lam, A, B = np.clip(sigma**2, 0.0, 1.0), A[:, :n], Bt.T[:, :n]
+    return lam, (U, None, Lu.T, A), (V, None, Lv.T, B)
 
 
 def _spanning_correlations(U, V):
@@ -244,10 +252,9 @@ def _spanning_correlations(U, V):
     return np.clip(sigma**2, 0.0, 1.0)
 
 
-def _recover(X, Q, R, A, n=None):
-    """Weight vectors and unit canonical variables of the first ``n`` pairs
-    (all by default) of one ``_factor`` side, one row each."""
-    A = A[:, :n]
+def _recover(X, Q, R, A):
+    """Weight vectors and unit canonical variables of the pairs of one
+    ``_factor`` side, one row each."""
     # the Cholesky route's R = L^T is square, and its variables need the weights
     weights = _tri_solve(R.T, A.copy(), trans=True) if Q is None else _solve_weights(R, A)
     variables = X.T @ weights if Q is None else Q @ A

@@ -81,6 +81,11 @@ class SimSpec:
             raise SpecError("student_t noise needs df > 2 for unit variance")
         if self.signal_mode not in SIGNAL_MODES:
             raise SpecError(f"signal_mode must be one of {SIGNAL_MODES}")
+        if self.signal_mode == "rotated-pair" and self.S < 2 * q:
+            raise SpecError(
+                f"rotated-pair signals need S >= 2q orthonormal directions, "
+                f"got S={self.S} for q={q} signals"
+            )
         if self.signal_cov_scale and len(self.signal_cov_scale) > q:
             raise SpecError("signal_cov_scale has more entries than signals")
         if self.signal_mode == "deterministic":
@@ -292,9 +297,9 @@ def theory(spec: SimSpec) -> list[wachter.SpikePrediction]:
 
 def _angles(spec, U, V, truth):
     """Measured angles and correlations of one drawn replication."""
-    lam, left, right = _factor(U, V)
     q = spec.n_signals  # only the signal pairs
-    x_hat, y_hat = _recover(*left, q)[1], _recover(*right, q)[1]
+    lam, left, right = _factor(U, V, q)
+    x_hat, y_hat = _recover(*left)[1], _recover(*right)[1]
     tx = np.array([angle_between(truth.x[i], x_hat[i]).degrees for i in range(q)])
     ty = np.array([angle_between(truth.y[i], y_hat[i]).degrees for i in range(q)])
     return tx, ty, lam

@@ -662,6 +662,13 @@ class TestCliSimulate:
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "line 4: " in capsys.readouterr().err
 
+    def test_rotated_pairs_small_s_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("K = 3\nM = 4\nS = 2\nsignal_strengths = 0.5, 0.3\n"
+                       "signal_mode = rotated-pair\n")
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "S=2 for q=2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", [["--preset", "desk"], ["--spec", "S"]])
     def test_negative_seed_exit_2(self, tmp_path, capsys, source):
         cfg = tmp_path / "S"

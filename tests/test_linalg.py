@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,43 @@ class TestSampleCca:
         V = np.zeros((4, S))
         U[np.arange(3), np.arange(3)] = 1.0
         V[np.arange(4), 10 + np.arange(4)] = 1.0
-        res = sample_cca(U, V)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sample_cca(U, V)
         assert np.allclose(res.correlations_sq, 0.0, atol=1e-12)
+        # no correlation to divide by, yet every pair is well defined
+        sides = ((res.left_weights, res.left_variables),
+                 (res.right_weights, res.right_variables))
+        for weights, variables in sides:
+            assert np.all(np.isfinite(weights)) and np.all(np.isfinite(variables))
+            assert np.max(np.abs(variables @ variables.T - np.eye(3))) <= 1e-12
+
+    def test_weak_pairs(self, monkeypatch):
+        # correlations 0.9 down to 1e-7: T^T a / sigma is accurate for the
+        # strong pairs only, so asking for every pair takes the thin SVD;
+        # both ways give orthonormal variables with <x_i, y_i> = sigma_i
+        S = 60
+        rng = np.random.default_rng(15)
+        Q, _ = np.linalg.qr(rng.standard_normal((S, 12)))
+        r = np.array([0.9, 0.5, 0.1, 1e-3, 1e-5, 1e-7])
+        U = Q[:, :6].T
+        V = r[:, None] * U + np.sqrt(1.0 - r * r)[:, None] * Q[:, 6:].T
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for n, svds in ((3, 0), (None, 1)):
+            calls.clear()
+            lam, left, right = linalg._factor(U, V, n)
+            assert len(calls) == svds
+            assert np.max(np.abs(lam - r * r)) <= 1e-12
+            x, y = linalg._recover(*left)[1], linalg._recover(*right)[1]
+            k = x.shape[0]
+            assert k == (n or 6)
+            for z in (x, y):
+                assert np.max(np.abs(z @ z.T - np.eye(k))) <= 1e-12
+            assert np.max(np.abs(np.abs(np.einsum("ij,ij->i", x, y)) - r[:k])) <= 1e-12
+            # each variable lies in its own planted pair's plane
+            assert np.max(1.0 - np.abs(np.einsum("ij,ij->i", x, U[:k]))) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force(self, seed):
@@ -214,7 +251,7 @@ class TestCorrelations:
             V = _conditioned_panel(rng, V, 10.0**exponent)
             gram = V @ V.T
         assert 10.0 ** (exponent - 1) < np.linalg.cond(gram) < 10.0 ** (exponent + 1)
-        lam = linalg._correlations(U, V)
+        lam = linalg._factor(U, V, 0)[0]
         ref, ref_left, ref_right = linalg._qr_route(U, V)
         assert lam.shape == (min(K, M),)
         assert np.all(np.diff(lam) <= 0.0)
@@ -339,6 +376,26 @@ class TestTriSolve:
         out = C.copy()
         linalg._tri_solve(L, out.T, trans)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestWhitening:
+    # inverted diagonal blocks on both sides of every block boundary, for
+    # Gram matrices up to the Cholesky route's 1e4 condition-number guard
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 200, 300])
+    def test_inverted_blocks_match_solve(self, n, exponent):
+        rng = np.random.default_rng(10 * n + exponent)
+        X = _conditioned_panel(rng, rng.standard_normal((n, 4 * n + 20)), 10.0**exponent)
+        L = linalg._gram_cholesky(X)
+        assert L is not None
+        B = rng.standard_normal((n, 150))
+        C = rng.standard_normal((90, n))
+        left, right = B.copy(), C.copy()
+        assert linalg._tri_solve(L, left, inverse=True) is left
+        # the right-side solve C L^-T in C's own memory, through C.T
+        linalg._tri_solve(L, right.T, inverse=True)
+        for got, ref in ((left, np.linalg.solve(L, B)), (right, np.linalg.solve(L, C.T).T)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestPopulationCca:

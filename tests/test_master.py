@@ -299,7 +299,7 @@ class TestSolver:
         rng = np.random.default_rng(14)
         for _ in range(20):
             U, V, _, _, inputs = random_instance(rng)
-            ref = linalg._correlations(U[1:], V)
+            ref = linalg._factor(U[1:], V, 0)[0]
             assert np.max(np.abs(inputs.intermediate_correlations() - ref)) <= 1e-12
 
 

@@ -42,6 +42,14 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             SimSpec(K=4, M=5, S=50, signal_strengths=(0.7,), signal_mode="deterministic")
 
+    @pytest.mark.parametrize("S", [2, 3])
+    def test_rotated_pairs_need_two_directions_per_signal(self, S):
+        with pytest.raises(SpecError, match=f"S={S} for q=2"):
+            SimSpec(K=3, M=4, S=S, signal_strengths=(0.5, 0.3), signal_mode="rotated-pair")
+        spec = SimSpec(K=3, M=4, S=4, signal_strengths=(0.5, 0.3), signal_mode="rotated-pair")
+        U, V, truth = gen_data(spec)
+        assert U.shape == (3, 4) and truth.y.shape == (2, 4)
+
 
 def vstack_recipe(spec, replication_id):
     """gen_data's earlier assembly: signal rows and noise blocks drawn as
@@ -237,9 +245,18 @@ class TestMcAngles:
         assert summary.theta_x.shape == (3, 2) and summary.lambdas.shape == (3, 20)
 
     def test_solves_no_weights(self, monkeypatch):
+        self.check_solves_no_weights(monkeypatch, 20, 30, 200)
+
+    def test_solves_no_weights_multi_block(self, monkeypatch):
+        # each Cholesky factor spans several triangular blocks, so a block
+        # product whose bits depend on the number of pairs recovered shows
+        self.check_solves_no_weights(monkeypatch, 150, 225, 1200)
+
+    @staticmethod
+    def check_solves_no_weights(monkeypatch, K, M, S):
         # the angles come from the variables alone, so the summary equals
         # the one built from sample_cca's variables and correlations
-        spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.8, 0.6), seed=4)
+        spec = SimSpec(K=K, M=M, S=S, signal_strengths=(0.8, 0.6), seed=4)
         tx, ty, lam = [], [], []
         for rep in range(5):
             U, V, truth = gen_data(spec, rep)

@@ -28,10 +28,15 @@ directory, ``--bins 0``);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including Monte Carlo runs large enough to draw on a worker thread (uniform
 and Student-t noise, mixing), regime violations, an unknown preset,
-``--replications 0`` and a spec value its key cannot take; and
+``--replications 0``, a spec value its key cannot take and rotated-pair
+signals with too few samples; and
 ``master-check`` at two sizes over several seeds, plus instances with a root
 near a noise pole or a cancelled secular sum, and dimensions it rejects
 (K = 1, K > M).
+
+``OUT/environment.txt`` records the BLAS thread settings, the numpy version
+and the BLAS library, so ``diff -r`` also shows when two result sets ran
+under different BLAS settings, which can change the last bits of results.
 """
 
 from __future__ import annotations
@@ -181,6 +186,9 @@ def make_inputs(inputs):
         "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 15\n"
         "replications = 3\n",
         "bad_value": "K = abc\nM = 60\nS = 400\n",
+        # two signals need four orthonormal directions in R^S
+        "rotated_small_s": "K = 3\nM = 4\nS = 2\nsignal_strengths = 0.5, 0.3\n"
+        "signal_mode = rotated-pair\n",
     }
     for name, text in specs.items():
         (inputs / f"{name}.cfg").write_text(text)
@@ -242,6 +250,8 @@ def runs():
         ("spec_regime_single", ["simulate", "--spec", "../inputs/regime_single.cfg"]),
         ("spec_regime_mc", ["simulate", "--spec", "../inputs/regime_mc.cfg"]),
         ("spec_bad_value", ["simulate", "--spec", "../inputs/bad_value.cfg"]),
+        ("spec_rotated_small_s",
+         ["simulate", "--spec", "../inputs/rotated_small_s.cfg"]),
         ("analyze_bins_0", ["analyze", *panel("plain"), "--bins", "0"]),
         ("csv_err_directory", ["analyze", "../inputs", "../inputs/err_v.csv"]),
         ("master_k1", ["master-check", "--dims", "1", "2", "10"]),
@@ -264,6 +274,15 @@ def runs():
     return out
 
 
+def environment():
+    """The lines of ``environment.txt``: BLAS thread settings and libraries."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines = [f"{var}={os.environ.get(var, '(unset)')}"
+             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    lines += [f"numpy {np.__version__}", f"blas {blas['name']} {blas.get('version', '')}"]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="new directory for the results")
@@ -273,6 +292,7 @@ def main(argv=None) -> int:
     if args.out.exists():
         parser.error(f"{args.out} exists")
     make_inputs(args.out / "inputs")
+    (args.out / "environment.txt").write_text(environment())
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     for name, cli_args in runs():
         run_dir = args.out / name
