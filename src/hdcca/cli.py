@@ -26,9 +26,9 @@ from .errors import (
     SpecError,
 )
 from .inference import _analyze_correlations, analyze
-from .linalg import _cca, angle_between, pca_spectrum, sample_cca
+from .linalg import pca_spectrum, sample_cca
 from .presets import PRESETS, build_spec
-from .simulate import gen_data, mc_angles, seeded_rng, theory
+from .simulate import _angles, gen_data, mc_angles, seeded_rng, theory
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,20 +114,16 @@ def _write_curves(out, rows):
 
 
 def _run_single(spec, out):
-    U, V, truth = gen_data(spec)
-    res = _cca(U, V)
-    report = _analyze_correlations(res.correlations_sq, spec.K, spec.M, spec.S)
+    theta_x, theta_y, lam = _angles(spec, *gen_data(spec))
+    report = _analyze_correlations(lam, spec.K, spec.M, spec.S)
     _write_tables(out, report, report.spikes)
     if spec.n_signals:
         predictions = theory(spec)  # raises DimensionError before the angles
-        rows = []
-        for q, pred in enumerate(predictions):
-            sim_x = angle_between(truth.x[q], res.left_variables[q]).degrees
-            sim_y = angle_between(truth.y[q], res.right_variables[q]).degrees
-            rows.append(
-                (q + 1, pred.rho_sq, wachter.theta_degrees(pred.s_x), sim_x,
-                 wachter.theta_degrees(pred.s_y), sim_y)
-            )
+        rows = [
+            (q + 1, pred.rho_sq, wachter.theta_degrees(pred.s_x), theta_x[q],
+             wachter.theta_degrees(pred.s_y), theta_y[q])
+            for q, pred in enumerate(predictions)
+        ]
         hio.write_table(
             out / "angles.csv",
             ["signal", "rho_sq", "theta_x_theory", "theta_x_sim",

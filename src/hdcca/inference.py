@@ -30,14 +30,12 @@ from .errors import (
     GateWarning,
     HdccaError,
     PoleProximity,
-    RankDeficient,
 )
 from .linalg import (
     CcaResult,
     _factor,
     _panels,
     _regime_note,
-    _spanning_correlations,
 )
 
 _TIE_TOL = 1e-10
@@ -260,15 +258,9 @@ def analyze(
     non-finite entry and RankDeficient for collinear rows otherwise.
     """
     U, V = _panels(U, V, demean)
-    K, M, S = U.shape[0], V.shape[0], U.shape[1]
-    try:
-        lam = _factor(U, V, 0)[0]
-    except RankDeficient:
-        if max(K, M) < S:
-            raise
-        lam = _spanning_correlations(U, V)
     return _analyze_correlations(
-        lam, K, M, S, gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
+        _factor(U, V, 0)[0], U.shape[0], V.shape[0], U.shape[1],
+        gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
     )
 
 

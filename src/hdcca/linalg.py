@@ -3,39 +3,42 @@
 Sample canonical correlations are defined through eigenvalues of
 ``(U U^T)^-1 U V^T (V V^T)^-1 V U^T``, but that expression squares condition
 numbers.  Every CCA caller (``sample_cca``, ``analyze``, the Monte Carlo
-harness) therefore runs one kernel, ``_factor``, which whitens the cross
-product ``U V^T`` with Cholesky factors of the two Gram matrices.  Its
-eigenvalue error grows like eps * cond(Gram) (Yamamoto et al., "Roundoff error
-analysis of the CholeskyQR2 algorithm", ETNA 2015), so it runs only when both
-Gram condition numbers are at most ``_GRAM_COND_LIMIT``.  Otherwise it falls
-back to ``_qr_route``: thin QR factorisations of the transposed data followed
-by an SVD of the product of orthonormal bases, which keeps full accuracy for
-the small correlations as well.  ``canonical_bases`` makes the same choice:
-it takes its orthonormal bases from the whitened panels when both Gram
-matrices pass the guard, and from thin QR factors otherwise.
+harness, ``canonical_bases``) takes them instead from a small cross matrix
+``T`` that ``_cross`` builds on one of two routes.  Correlations do not
+change when a row is rescaled, so both routes judge a panel ``X`` by its
+equilibrated Gram matrix ``D^-1 G D^-1``, ``G = X X^T``, ``D = diag(G)^1/2``,
+within a factor of the dimension of the best diagonal scaling (van der
+Sluis, Numer. Math. 1969).
 
-``_gram_cholesky`` certifies the guard with one Cholesky factorisation of the
-Gram matrix ``G`` shifted down by ``2 ||G||_inf / _GRAM_COND_LIMIT``.
-``||G||_inf`` bounds the largest eigenvalue, and Cholesky's backward error,
-about ``n^2 eps ||G||`` (Higham, "Accuracy and Stability of Numerical
-Algorithms", 2002, ch. 10), is far below the shift for any Gram matrix that
-fits in memory, so a factorisation that succeeds proves the condition number
-is within the limit.  Only when it fails do the exact eigenvalues from
-``eigvalsh`` decide, so every input takes the route the exact test alone
-would give it.
+The Cholesky route whitens ``U V^T`` with both factors ``chol(G)`` when both
+equilibrated condition numbers are at most ``_GRAM_COND_LIMIT``.  The raw
+factor serves: Cholesky's backward error is componentwise in
+``sqrt(g_ii g_jj)`` (Demmel 1989; Higham, "Accuracy and Stability of
+Numerical Algorithms", 2002, ch. 10), so ``chol(G)`` is ``D`` times the
+factor of a matrix within ``O(n eps)`` of ``D^-1 G D^-1``, and triangular
+solves and inverses ignore the row scaling too (ch. 8, 14): the error grows
+like eps times the equilibrated condition number (Yamamoto et al., ETNA
+2015).  ``_gram_cholesky`` certifies the guard by factoring ``G - delta D^2
+= D (D^-1 G D^-1 - delta I) D``, ``delta = 2 ||D^-1 G D^-1||_inf /
+_GRAM_COND_LIMIT``: the norm bounds the largest eigenvalue and the backward
+error is far below the shift, so success proves the limit.  Only a failure
+lets the exact eigenvalues of ``D^-1 G D^-1`` decide the route.
+
+Every other input takes the rank-revealing route: the thin QR ``X^T = Q R``
+of each panel, then the SVD of the small ``R D^-1`` (scaling the columns of
+``X^T`` leaves ``Q`` as it is), cut at the numerical rank.  A panel with
+fewer rows than samples must keep full rank, or ``RankDeficient`` names its
+equilibrated condition above ``_COND_LIMIT``; a wider panel keeps its
+numerical row space, with minimal-norm weights.
 
 The spectral step takes ``eigh`` of the smaller of ``T T^T`` and ``T^T T``
-for the whitened cross product ``T`` and forms the other side's vectors only
-for the pairs the caller reads, as ``T^T a_i / sigma_i``.  Their error grows
-like eps (sigma_1 / sigma_i)^2, so below ``_PAIR_RATIO`` the thin SVD of ``T``
-gives the pairs instead.  ``analyze`` takes the eigenvalues alone.
-
-The whitening multiplies by the inverses of each factor's diagonal blocks: a
-block factors a Schur complement of a Gram matrix that passed the guard, so
-its inverse is accurate to about 100 eps (Higham, ch. 14).  Narrow solves
-(weights, ``canonical_bases``, ``population_cca``) keep ``np.linalg.solve``
-per block, backward stable as LU is (Higham, ch. 8): a product's bits depend
-on its column count, and the Monte Carlo harness must match ``sample_cca``.
+and forms the other side's vectors only for the pairs the caller reads, as
+``T^T a_i / sigma_i``, unless a pair is below ``_PAIR_RATIO``, where the
+error eps (sigma_1 / sigma_i)^2 calls for the thin SVD of ``T``.  The
+whitening multiplies by inverted diagonal blocks of each factor, accurate to
+about 100 eps (Higham, ch. 14); narrow solves keep ``np.linalg.solve`` per
+block, because a product's bits depend on its column count and the Monte
+Carlo harness must match ``sample_cca``.
 """
 
 from __future__ import annotations
@@ -76,27 +79,11 @@ class CcaResult:
     swapped: bool = False
 
 
-_COND_LIMIT = 1e12   # largest tolerated condition number of a Gram matrix
-_GRAM_COND_LIMIT = 1e4   # largest Gram condition number the Cholesky route takes
+_COND_LIMIT = 1e12   # largest equilibrated Gram condition number of a full-rank panel
+_GRAM_COND_LIMIT = 1e4   # largest equilibrated Gram condition number the Cholesky route takes
 _TRI_BLOCK = 64          # rows per diagonal block of the triangular solves
 _INV_BLOCK = 32          # rows per inverted diagonal block of the whitening
 _PAIR_RATIO = 1e-2       # least sigma_i / sigma_1 of a pair formed as T^T a / sigma
-
-
-def _orthonormal_rows(X, name):
-    """QR of X^T; returns (Q with orthonormal columns, R) and rank-checks."""
-    Q, R = np.linalg.qr(X.T)
-    diag = np.abs(np.diag(R))
-    if diag.min() == 0.0:
-        raise RankDeficient(f"{name} has exactly collinear rows")
-    # cond(R)^2 approximates the condition number of the Gram matrix X X^T
-    cond = np.linalg.cond(R)
-    if cond * cond > _COND_LIMIT:
-        raise RankDeficient(
-            f"{name} rows are numerically collinear "
-            f"(Gram condition ~{cond * cond:.2e} > {_COND_LIMIT:.0e})"
-        )
-    return Q, R
 
 
 def _fix_signs(weights, variables=None):
@@ -107,13 +94,6 @@ def _fix_signs(weights, variables=None):
             weights[i] = -weights[i]
             if variables is not None:
                 variables[i] = -variables[i]
-
-
-def _solve_weights(R, B):
-    """Weights solving ``R w = b`` per column; minimal-norm when R is wide."""
-    if R.shape[0] == R.shape[1]:
-        return np.linalg.solve(R, B)
-    return np.linalg.lstsq(R, B, rcond=None)[0]
 
 
 def _regime_note(K: int, M: int, S: int) -> str | None:
@@ -147,33 +127,29 @@ def _panels(U, V, demean):
     return U, V
 
 
-def _qr_route(U, V, n=None):
-    """``_factor`` from thin QR factors ``X^T = Q R`` of both panels and the SVD
-    of ``Qu^T Qv``; the reference the Cholesky route is tested against."""
-    Qu, Ru = _orthonormal_rows(U, "U")
-    Qv, Rv = _orthonormal_rows(V, "V")
-    A, sigma, Bt = np.linalg.svd(Qu.T @ Qv, full_matrices=False)
-    return np.clip(sigma**2, 0.0, 1.0), (U, Qu, Ru, A[:, :n]), (V, Qv, Rv, Bt.T[:, :n])
-
-
 def _gram_cholesky(X):
-    """Cholesky factor of ``X X^T``, or None when its condition number exceeds
-    ``_GRAM_COND_LIMIT``: certified by a shifted Cholesky factorisation, or
-    decided by the exact eigenvalues when that fails (see the module
-    docstring)."""
+    """Cholesky factor of ``G = X X^T``, or None when the condition number of
+    ``D^-1 G D^-1``, ``D = diag(G)^1/2``, exceeds ``_GRAM_COND_LIMIT``:
+    certified by a shifted Cholesky factorisation, or decided by the exact
+    eigenvalues when that fails (see the module docstring)."""
     gram = X @ X.T
-    n = gram.shape[0]
     diag = gram.diagonal().copy()
-    # shifted in place and restored bit for bit: a shifted copy costs memory
-    gram.flat[:: n + 1] -= 2.0 * np.abs(gram).sum(axis=1).max() / _GRAM_COND_LIMIT
+    d = np.sqrt(diag)
+    d[d == 0.0] = 1.0  # a zero row stays a zero row of D^-1 G D^-1
+    # G - delta D^2 = D (D^-1 G D^-1 - delta I) D, shifted in place and
+    # restored bit for bit: a shifted copy costs memory
+    delta = 2.0 * ((np.abs(gram) @ (1.0 / d)) / d).max() / _GRAM_COND_LIMIT
+    np.fill_diagonal(gram, diag - delta * diag)
     try:
         np.linalg.cholesky(gram)
         certified = True
     except np.linalg.LinAlgError:
         certified = False
-    gram.flat[:: n + 1] = diag
+    np.fill_diagonal(gram, diag)
     if not certified:
-        eig = np.linalg.eigvalsh(gram)  # ascending
+        equilibrated = gram / d  # one n x n temporary, scaled in place
+        equilibrated /= d[:, None]
+        eig = np.linalg.eigvalsh(equilibrated)  # ascending
         if not (eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]):
             return None
     return np.linalg.cholesky(gram)
@@ -204,28 +180,59 @@ def _whiten(Lu, Lv, cross):
     return _tri_solve(Lu, cross, inverse=True)
 
 
-def _whitened(U, V):
-    """``(Lu, Lv, Lu^-1 U V^T Lv^-T)`` with ``Lu``, ``Lv`` the Cholesky factors
-    of the Gram matrices, or None when either fails the guard."""
+def _qr_basis(X, name):
+    """``(Q, P, F)`` of one panel from the thin QR ``X^T = Q R`` and the SVD
+    ``R D^-1 = P diag(s) W^T``, D the row norms of X, cut at the numerical
+    rank r: the columns of ``Q P`` are an orthonormal basis of the row space
+    of X, and ``F = D^-1 W diag(1/s)`` turns coordinates in it into weights,
+    the minimal-norm ones when r is below the row count.  RankDeficient when
+    a panel with fewer rows than samples has rank below its row count."""
+    Q, R = np.linalg.qr(X.T)
+    d = np.linalg.norm(R, axis=0)  # the row norms of X: Q's columns are orthonormal
+    d[d == 0.0] = 1.0  # a zero row of a panel that spans the sample space
+    R /= d
+    P, s, Wt = np.linalg.svd(R, full_matrices=False)
+    r = np.count_nonzero(_COND_LIMIT * s * s > s[0] * s[0])
+    if r < X.shape[0] < X.shape[1]:
+        if np.abs(np.diag(R)).min() == 0.0:
+            raise RankDeficient(f"{name} has exactly collinear rows")
+        raise RankDeficient(
+            f"{name} rows are numerically collinear "
+            f"(Gram condition ~{(s[0] / s[-1]) ** 2:.2e} > {_COND_LIMIT:.0e})"
+        )
+    del R  # before F is formed: at fig1 size this sets the route's peak memory
+    F = Wt[:r].T / s[:r]
+    F /= d[:, None]
+    if r < X.shape[0]:  # keep the weights in the row space of X, range(D W)
+        Z = np.linalg.qr(Wt[:r].T * d[:, None])[0]
+        F = Z @ (Z.T @ F)
+    return Q, P[:, :r], F
+
+
+def _cross(U, V, names=("U", "V")):
+    """The matrix whose singular values are the canonical correlations of the
+    row spaces of U and V, and each side's ``(X, Q, P, F)`` for ``_recover``:
+    the whitened cross product with ``(X, None, None, L^T)`` when both Gram
+    matrices pass the guard, and the rank-revealing route otherwise."""
     Lu = _gram_cholesky(U)
     Lv = _gram_cholesky(V) if Lu is not None else None
-    return None if Lv is None else (Lu, Lv, _whiten(Lu, Lv, U @ V.T))
+    if Lv is not None:
+        return _whiten(Lu, Lv, U @ V.T), (U, None, None, Lu.T), (V, None, None, Lv.T)
+    (Qu, Pu, Fu), (Qv, Pv, Fv) = _qr_basis(U, names[0]), _qr_basis(V, names[1])
+    return Pu.T @ (Qu.T @ Qv) @ Pv, (U, Qu, Pu, Fu), (V, Qv, Pv, Fv)
 
 
 def _factor(U, V, n=None):
     """Squared canonical correlations (descending) and, for the first ``n``
-    pairs (all by default), each side's ``(X, Q, R, A)``: the panel, the thin
-    Q of ``X^T`` (None on the Cholesky route), a triangular ``R`` with
-    ``R^T R = X X^T`` and the singular vectors of ``T`` as columns of ``A``.
-    ``n = 0`` asks for the correlations alone."""
-    whitened = _whitened(U, V)
-    if whitened is None:
-        return _qr_route(U, V, n)
-    Lu, Lv, T = whitened
+    pairs (all by default), each side's ``(X, Q, P, F, A)``: the ``_cross``
+    side and the singular vectors of its cross matrix as columns of ``A``.
+    ``n = 0`` forms no vectors: ``eigvalsh`` gives the correlations alone."""
+    T, left, right = _cross(U, V)
     wide = T.shape[0] <= T.shape[1]
     small = T @ T.T if wide else T.T @ T
     if n == 0:
-        return np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0), None, None
+        lam = np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
+        return lam, (*left, T[:, :0]), (*right, T.T[:, :0])
     lam, Z = np.linalg.eigh(small)
     lam = np.clip(lam[::-1], 0.0, 1.0)
     sigma = np.sqrt(lam[:n])
@@ -236,46 +243,25 @@ def _factor(U, V, n=None):
     else:  # a pair too weak for T^T a / sigma, or no correlation at all
         A, sigma, Bt = np.linalg.svd(T, full_matrices=False)
         lam, A, B = np.clip(sigma**2, 0.0, 1.0), A[:, :n], Bt.T[:, :n]
-    return lam, (U, None, Lu.T, A), (V, None, Lv.T, B)
+    return lam, (*left, A), (*right, B)
 
 
-def _spanning_correlations(U, V):
-    """Squared cosines between the row spaces of U and V at their numerical
-    ranks, descending: the correlations when the rows of a panel that spans
-    the sample space are necessarily dependent (``_orthonormal_rows`` rejects
-    such a panel once de-meaning has cut its rank to ``S - 1``)."""
-    bases = []
-    for X in (U, V):
-        _, s, Vt = np.linalg.svd(X, full_matrices=False)
-        bases.append(Vt[s > s[0] * max(X.shape) * np.finfo(float).eps])
-    sigma = np.linalg.svd(bases[0] @ bases[1].T, compute_uv=False)
-    return np.clip(sigma**2, 0.0, 1.0)
+def _recover(X, Q, P, F, A):
+    """Weight vectors and unit canonical variables, one row each, of the
+    singular vectors ``A`` of one ``_cross`` side."""
+    if Q is None:  # F = L^T, and the variables need the weights
+        weights = _tri_solve(F.T, A.copy(), trans=True)
+        return weights.T, (X.T @ weights).T
+    return (F @ A).T, (Q @ (P @ A)).T
 
 
-def _recover(X, Q, R, A):
-    """Weight vectors and unit canonical variables of the pairs of one
-    ``_factor`` side, one row each."""
-    # the Cholesky route's R = L^T is square, and its variables need the weights
-    weights = _tri_solve(R.T, A.copy(), trans=True) if Q is None else _solve_weights(R, A)
-    variables = X.T @ weights if Q is None else Q @ A
-    weights, variables = weights.T, variables.T
-    _fix_signs(weights, variables)
-    return weights, variables
-
-
-def _cca(U, V) -> CcaResult:
-    """The CCA itself on prepared panels; raises on rank deficiency, never warns."""
-    lam, left, right = _factor(U, V)
-    left_w, left_v = _recover(*left)
-    right_w, right_v = _recover(*right)
-    return CcaResult(
-        correlations_sq=lam,
-        left_weights=left_w,
-        right_weights=right_w,
-        left_variables=left_v,
-        right_variables=right_v,
-        swapped=U.shape[0] > V.shape[0],
-    )
+def _basis_rows(X, Q, P, F, A):
+    """``_recover``'s variables alone, as C-order rows (the Cholesky route
+    solves in A's memory): products ``master`` takes of the rows get their
+    bits from that order."""
+    if Q is None:
+        return _tri_solve(F.T, A, trans=True).T @ X
+    return (P @ A).T @ Q.T
 
 
 def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
@@ -294,15 +280,28 @@ def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
     CcaResult
         With ``min(K, M)`` correlations sorted descending.  Warns
         ``RegimeWarning`` when ``S <= K + M``.  Raises ``RankDeficient``
-        when either Gram matrix has condition number above 1e12, except for
-        a panel with more rows than samples whose rows span every sample
-        direction: then all correlations are 1 and its weights minimal-norm.
+        when a panel with fewer rows than samples has an equilibrated Gram
+        condition number above 1e12.  A panel with at least as many rows as
+        samples is taken at its numerical rank r (so there are at most r
+        correlations), with minimal-norm weights: when its rows span every
+        sample direction, all correlations are 1.
     """
     U, V = _panels(U, V, demean)
     note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
     if note is not None:
         warnings.warn(note, RegimeWarning, stacklevel=2)
-    return _cca(U, V)
+    lam, left, right = _factor(U, V)
+    (left_w, left_v), (right_w, right_v) = _recover(*left), _recover(*right)
+    _fix_signs(left_w, left_v)
+    _fix_signs(right_w, right_v)
+    return CcaResult(
+        correlations_sq=lam,
+        left_weights=left_w,
+        right_weights=right_w,
+        left_variables=left_v,
+        right_variables=right_v,
+        swapped=U.shape[0] > V.shape[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +412,11 @@ def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
         )
     if U_sub.shape[1] != V_sub.shape[1]:
         raise DimensionError("ambient dimensions differ")
-    whitened = _whitened(U_sub, V_sub)
-    if whitened is None:
-        Qu, _ = _orthonormal_rows(U_sub, "U_sub")
-        Qv, _ = _orthonormal_rows(V_sub, "V_sub")
-        A, sigma, Bt = np.linalg.svd(Qu.T @ Qv)  # full: all of the larger side
-        return CanonicalBasis(
-            u_basis=(Qu @ A).T,
-            v_basis=(Qv @ Bt.T).T,
-            cosines=np.clip(sigma, 0.0, 1.0),
-        )
-    # the rows of Lu^-1 U_sub and Lv^-1 V_sub are orthonormal bases
-    Lu, Lv, T = whitened
+    T, left, right = _cross(U_sub, V_sub, ("U_sub", "V_sub"))
     A, sigma, Bt = np.linalg.svd(T)  # full: all of the larger side
     return CanonicalBasis(
-        u_basis=_tri_solve(Lu, A, trans=True).T @ U_sub,
-        v_basis=_tri_solve(Lv, Bt.T, trans=True).T @ V_sub,
+        u_basis=_basis_rows(*left, A),
+        v_basis=_basis_rows(*right, Bt.T),
         cosines=np.clip(sigma, 0.0, 1.0),
     )
 

@@ -22,6 +22,24 @@ from hdcca.inference import (
 from hdcca.simulate import SimSpec, gen_data, seeded_rng
 from hdcca.wachter import regime_from_dims, rho2_from_z, z_from_rho2
 
+def _mixed(rng, X, cond):
+    """X mixed by ``Q diag(d) Q^T`` with a random orthogonal Q, which raises
+    the Gram condition number by about ``cond`` however the rows are scaled,
+    and leaves every canonical correlation unchanged."""
+    n = X.shape[0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.logspace(0.0, -0.5 * np.log10(cond), n)
+    return (Q * d) @ Q.T @ X
+
+
+def _equilibrated_cond(X):
+    """Condition number of ``D^-1 X X^T D^-1``, ``D = diag(X X^T)^1/2``."""
+    gram = X @ X.T
+    d = np.sqrt(gram.diagonal())
+    eig = np.linalg.eigvalsh(gram / d / d[:, None])
+    return eig[-1] / eig[0]
+
+
 LIMESTONE_LAMBDAS = np.array([0.83, 0.52, 0.36, 0.11, 0.09, 0.04])
 LIMESTONE_REGIME = regime_from_dims(6, 8, 45)
 STOCKS_REGIME = regime_from_dims(80, 80, 521)
@@ -307,15 +325,17 @@ class TestAnalyze:
         def unused(*args):
             raise AssertionError("analyze solved for weights")
 
-        monkeypatch.setattr(linalg, "_solve_weights", unused)
+        monkeypatch.setattr(linalg, "_recover", unused)
         spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
         U, V, _ = gen_data(spec)
         assert len(analyze(U, V).spikes) == 1
+        assert len(analyze(_mixed(np.random.default_rng(3), U, 1e6), V).spikes) == 1
 
     def test_gram_guard_dispatch(self, monkeypatch):
         # well-conditioned panels take the Cholesky route, which builds no
-        # QR factors; a Gram condition number above 1e4 reaches the QR route
-        orthonormal_rows = linalg._orthonormal_rows
+        # QR factors, and so does a row in other units; an equilibrated Gram
+        # condition number above 1e4 reaches the rank-revealing route
+        qr_basis = linalg._qr_basis
         names = []
 
         def no_qr(X, name):
@@ -323,22 +343,26 @@ class TestAnalyze:
 
         def counting(X, name):
             names.append(name)
-            return orthonormal_rows(X, name)
+            return qr_basis(X, name)
 
         spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3)
         U, V, _ = gen_data(spec)
-        monkeypatch.setattr(linalg, "_orthonormal_rows", no_qr)
-        assert len(analyze(U, V).spikes) == 1
-        U[0] *= 1e3  # Gram condition ~1e6
-        monkeypatch.setattr(linalg, "_orthonormal_rows", counting)
-        assert len(analyze(U, V).spikes) == 1
+        monkeypatch.setattr(linalg, "_qr_basis", no_qr)
+        lam = analyze(U, V).spikes[0].lam
+        U[0] *= 1e3  # raw Gram condition ~1e6, equilibrated unchanged
+        assert analyze(U, V).spikes[0].lam == pytest.approx(lam, abs=1e-12)
+        U = _mixed(np.random.default_rng(4), U, 1e6)
+        assert _equilibrated_cond(U) > 1e5
+        monkeypatch.setattr(linalg, "_qr_basis", counting)
+        assert analyze(U, V).spikes[0].lam == pytest.approx(lam, abs=1e-12)
         assert names == ["U", "V"]
 
     def test_gram_certificate_dispatch(self, monkeypatch):
         # well-conditioned desk-size panels pass the shifted-Cholesky
-        # certificate, so the one eigensolve is of the small T T^T; a Gram
-        # condition number between the certificate's reach and 1e4 costs one
-        # exact eigensolve more and still takes the Cholesky route
+        # certificate, so the one eigensolve is of the small T T^T, and so
+        # does a row in other units; an equilibrated Gram condition number
+        # between the certificate's reach and 1e4 costs one exact eigensolve
+        # more and still takes the Cholesky route
         eigvalsh = np.linalg.eigvalsh
         shapes = []
 
@@ -349,16 +373,20 @@ class TestAnalyze:
         def no_qr(X, name):
             raise AssertionError("analyze built a QR factor")
 
-        monkeypatch.setattr(linalg, "_orthonormal_rows", no_qr)
+        monkeypatch.setattr(linalg, "_qr_basis", no_qr)
         spec = SimSpec(K=200, M=300, S=1600, signal_strengths=(0.9,), seed=3)
         U, V, _ = gen_data(spec)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         assert len(analyze(U, V).spikes) == 1
         assert shapes == [(200, 200)]
         U = U[:20].copy()
-        U[0] *= 80.0
-        eig = eigvalsh(U @ U.T)
-        assert 5e3 < eig[-1] / eig[0] < 1e4
+        scaled = U.copy()
+        scaled[0] *= 80.0
+        shapes.clear()
+        assert len(analyze(scaled, V).spikes) == 1
+        assert shapes == [(20, 20)]
+        U = _mixed(np.random.default_rng(1), U, 8e3)
+        assert 5e3 < _equilibrated_cond(U) < 1e4
         shapes.clear()
         assert len(analyze(U, V).spikes) == 1
         assert shapes == [(20, 20), (20, 20)]

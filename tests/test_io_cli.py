@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hdcca import io as hio
-from hdcca import linalg
+from hdcca import linalg, simulate
 from hdcca.cli import main, master_check
 from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
 from hdcca.io import (
@@ -24,7 +24,7 @@ from hdcca.io import (
     write_sim_config,
 )
 from hdcca.presets import PRESETS, build_spec
-from hdcca.simulate import SimSpec, mc_angles
+from hdcca.simulate import SimSpec, gen_data, mc_angles
 
 
 def write_matrix_csv(path, values, header=None, labels=None):
@@ -572,6 +572,26 @@ class TestCliAnalyze:
         assert "nan" not in out
         assert out.startswith("no spike detection: the bulk edge is undefined")
 
+    def test_row_in_other_units(self, tmp_path):
+        # canonical correlations ignore a row's units: one U row times 1e6
+        # (raw Gram condition ~1e12) gives the unscaled panels' spikes
+        U, V, _ = gen_data(SimSpec(K=20, M=30, S=200, signal_strengths=(0.9,), seed=3))
+        spikes = []
+        for scale in (1.0, 1e6):
+            U[0] *= scale
+            (tmp_path / str(scale)).mkdir()
+            code, out = self.run_panels(tmp_path / str(scale), U, V)
+            assert code == 0
+            with (out / "spikes.csv").open() as fh:
+                spikes.append(list(csv.DictReader(fh)))
+        assert len(spikes[0]) == 1
+        for row, ref in zip(spikes[1], spikes[0], strict=True):
+            for column in SPIKE_COLUMNS:
+                if column in ("method", "gate_passed"):
+                    assert row[column] == ref[column]
+                else:
+                    assert float(row[column]) == pytest.approx(float(ref[column]), rel=1e-10)
+
     def test_collinear_rows_exit_4(self, tmp_path):
         rng = np.random.default_rng(5)
         U = rng.standard_normal((4, 50))
@@ -602,7 +622,7 @@ class TestCliSimulate:
 
         monkeypatch.setattr(linalg, "_gram_cholesky", counting)
         monkeypatch.setattr(
-            linalg, "_orthonormal_rows", lambda X, name: qr_factored.append(X.shape)
+            linalg, "_qr_basis", lambda X, name: qr_factored.append(X.shape)
         )
         cfg = tmp_path / "spec.cfg"
         write_sim_config(
@@ -612,6 +632,28 @@ class TestCliSimulate:
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
         assert factored == [(20, 200), (30, 200)]
         assert qr_factored == []
+
+    @pytest.mark.parametrize("strengths", [(0.9, 0.6), ()], ids=["two", "none"])
+    def test_single_run_recovers_signal_pairs_only(self, tmp_path, monkeypatch, strengths):
+        # the angle table reads the signal pairs' variables alone, so only
+        # those pairs are recovered: none without a signal
+        recovered = []
+        for module in (linalg, simulate):
+            recover = module._recover
+
+            def counting(*side, recover=recover):
+                recovered.append(side[-1].shape[1])
+                return recover(*side)
+
+            monkeypatch.setattr(module, "_recover", counting)
+        cfg = tmp_path / "spec.cfg"
+        write_sim_config(
+            cfg, SimSpec(K=20, M=30, S=200, signal_strengths=strengths, seed=3)
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 0
+        assert recovered == [len(strengths)] * 2
+        assert (out / "angles.csv").exists() == bool(strengths)
 
     def test_mc_summary(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -761,7 +803,7 @@ class TestCliMasterCheck:
     def test_factors_each_panel_once(self, monkeypatch):
         factored, qr_factored = [], []
         gram_cholesky = linalg._gram_cholesky
-        orthonormal_rows = linalg._orthonormal_rows
+        qr_basis = linalg._qr_basis
 
         def counting(X):
             factored.append(X.shape)
@@ -769,10 +811,10 @@ class TestCliMasterCheck:
 
         def counting_qr(X, name):
             qr_factored.append(X.shape)
-            return orthonormal_rows(X, name)
+            return qr_basis(X, name)
 
         monkeypatch.setattr(linalg, "_gram_cholesky", counting)
-        monkeypatch.setattr(linalg, "_orthonormal_rows", counting_qr)
+        monkeypatch.setattr(linalg, "_qr_basis", counting_qr)
         assert main(["master-check", "--dims", "20", "30", "160"]) == 0
         assert sorted(factored) == [(19, 160), (20, 160), (29, 160), (30, 160)]
         assert qr_factored == []

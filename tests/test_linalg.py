@@ -14,6 +14,7 @@ from hdcca.linalg import (
     population_cca,
     sample_cca,
 )
+from hdcca.simulate import SimSpec, gen_data
 
 
 def brute_force_correlations(U, V):
@@ -182,6 +183,21 @@ class TestSampleCca:
         assert report.regime is None
         assert any(n.startswith("dimension regime violated") for n in report.notes)
 
+    def test_more_rows_than_samples_demeaned(self):
+        # de-meaning cuts the 30 x 20 panel to rank 19, and V's de-meaned rows
+        # lie in that row space: every correlation is 1, and the weights
+        # are the minimal-norm ones
+        rng = np.random.default_rng(12)
+        U = rng.standard_normal((30, 20))
+        V = rng.standard_normal((5, 20))
+        with pytest.warns(RegimeWarning):
+            res = sample_cca(U, V, demean=True)
+        assert np.all(res.correlations_sq > 1.0 - 1e-12)
+        Ud = U - U.mean(axis=1, keepdims=True)
+        assert np.allclose(Ud.T @ res.left_weights.T, res.left_variables.T, atol=1e-10)
+        minimal = np.linalg.pinv(Ud.T) @ res.left_variables.T
+        assert np.allclose(res.left_weights, minimal.T, atol=1e-10)
+
     def test_rank_deficient_raises(self):
         rng = np.random.default_rng(9)
         U = rng.standard_normal((4, 30))
@@ -229,16 +245,28 @@ def _conditioned_panel(rng, X, cond):
     return (Q * d) @ Q.T @ X
 
 
+def _qr_reference(monkeypatch, U, V):
+    """Squared correlations, descending, and each side's leading pair from a
+    full SVD of the rank-revealing route's cross matrix, built from
+    orthogonal factorisations alone: the exact reference at any Gram
+    condition number below 1e12."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_gram_cholesky", lambda X: None)
+        T, left, right = linalg._cross(U, V)
+    A, sigma, Bt = np.linalg.svd(T)
+    return np.clip(sigma**2, 0.0, 1.0), (*left, A[:, :1]), (*right, Bt.T[:, :1])
+
+
 class TestCorrelations:
     # (K, M): ordinary, swapped (K > M), and one-row U with the ladder on V
     @pytest.mark.parametrize(
         "dims", [(20, 30), (30, 20), (1, 30)], ids=["K<M", "K>M", "K=1"]
     )
     @pytest.mark.parametrize("exponent", [1, 3, 5, 7, 9, 11])
-    def test_conditioning_ladder(self, dims, exponent):
-        # the Cholesky route below the guard and the QR fallback above it
-        # both match the QR route's correlations, leading variables and
-        # leading weights
+    def test_conditioning_ladder(self, monkeypatch, dims, exponent):
+        # the Cholesky route below the guard and the rank-revealing fallback
+        # above it both match the QR reference's correlations, leading
+        # variables and leading weights
         rng = np.random.default_rng(exponent)
         K, M = dims
         U = rng.standard_normal((K, 300))
@@ -252,11 +280,11 @@ class TestCorrelations:
             gram = V @ V.T
         assert 10.0 ** (exponent - 1) < np.linalg.cond(gram) < 10.0 ** (exponent + 1)
         lam = linalg._factor(U, V, 0)[0]
-        ref, ref_left, ref_right = linalg._qr_route(U, V)
+        ref, ref_left, ref_right = _qr_reference(monkeypatch, U, V)
         assert lam.shape == (min(K, M),)
         assert np.all(np.diff(lam) <= 0.0)
         assert np.max(np.abs(lam - ref)) <= 1e-12
-        res = linalg._cca(U, V)
+        res = sample_cca(U, V)
         assert np.max(np.abs(res.correlations_sq - ref)) <= 1e-12
         sides = (
             (res.left_weights[0], res.left_variables[0], ref_left),
@@ -264,16 +292,58 @@ class TestCorrelations:
         )
         for weights, variables, side in sides:
             ref_w, ref_v = linalg._recover(*side)
+            linalg._fix_signs(ref_w, ref_v)
             assert abs(1.0 - abs(variables @ ref_v[0])) <= 1e-12
             rel = np.linalg.norm(weights - ref_w[0]) / np.linalg.norm(ref_w[0])
             assert rel <= 1e-10
 
 
+class TestScaleInvariance:
+    # canonical correlations, variables and (mapped back) weights do not
+    # depend on the units of a row, and neither does the route
+    @pytest.mark.parametrize("dims", [(20, 30, 200), (200, 300, 1600)])
+    def test_row_scales(self, monkeypatch, dims):
+        K, M, S = dims
+        U, V, _ = gen_data(SimSpec(K=K, M=M, S=S, signal_strengths=(0.9, 0.7), seed=5))
+        rng = np.random.default_rng(K)
+        du, dv = 10.0 ** rng.uniform(-3.0, 3.0, K), 10.0 ** rng.uniform(-3.0, 3.0, M)
+        du[:2] = dv[:2] = 1e-3, 1e3  # both ends: a raw Gram condition above 1e12
+        Us, Vs = U * du[:, None], V * dv[:, None]
+
+        def no_qr(X, name):
+            raise AssertionError("row scales sent a panel to the QR route")
+
+        monkeypatch.setattr(linalg, "_qr_basis", no_qr)
+        lam = analyze(U, V).correlations
+        assert np.max(np.abs(analyze(Us, Vs).correlations - lam)) <= 1e-12
+        ref, res = sample_cca(U, V), sample_cca(Us, Vs)
+        assert np.max(np.abs(res.correlations_sq - ref.correlations_sq)) <= 1e-12
+        sides = ((ref.left_variables, res.left_variables, ref.left_weights,
+                  res.left_weights * du),
+                 (ref.right_variables, res.right_variables, ref.right_weights,
+                  res.right_weights * dv))
+        for x, y, w, w_back in sides:
+            # the largest weight coordinate fixes each sign, and it moves with the units
+            sign = np.sign(np.einsum("ij,ij->i", x, y))[:, None]
+            assert np.max(np.abs(x - sign * y)) <= 1e-12
+            # as one matrix: a bulk pair's own weights move by eps cond / gap
+            assert np.linalg.norm(w - sign * w_back) <= 1e-12 * np.linalg.norm(w)
+
+
+def _equilibrated_gram(X):
+    """``D^-1 X X^T D^-1`` with ``D = diag(X X^T)^1/2``; a zero row stays zero."""
+    gram = X @ X.T
+    d = np.sqrt(gram.diagonal())
+    d[d == 0.0] = 1.0
+    return gram / d / d[:, None]
+
+
 def _guard_routes(monkeypatch, panels):
     """The route ``_gram_cholesky`` takes on each panel ("certified", "exact
     pass" or "exact fail"), checking on the way that it returns None exactly
-    when the exact eigenvalue test fails, and otherwise the bits of
-    ``np.linalg.cholesky(X @ X.T)``: so the Gram's diagonal is restored."""
+    when the exact eigenvalue test of the equilibrated Gram matrix fails, and
+    otherwise the bits of ``np.linalg.cholesky(X @ X.T)``: so the Gram's
+    diagonal is restored."""
     eigvalsh = np.linalg.eigvalsh
     calls = []
 
@@ -284,7 +354,7 @@ def _guard_routes(monkeypatch, panels):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     routes = []
     for X in panels:
-        eig = eigvalsh(X @ X.T)
+        eig = eigvalsh(_equilibrated_gram(X))
         exact = eig[0] > 0.0 and eig[-1] <= linalg._GRAM_COND_LIMIT * eig[0]
         calls.clear()
         L = linalg._gram_cholesky(X)
@@ -319,14 +389,15 @@ class TestGramCholesky:
         assert {"certified", "exact pass", "exact fail"} <= set(routes)
 
     def test_one_row_scaled(self, monkeypatch):
+        # the guard reads the equilibrated Gram matrix, so a row in other
+        # units leaves every panel certified, and its factor chol(X X^T)
         rng = np.random.default_rng(5)
         panels = []
         for scale in np.logspace(-3.0, 3.0, 49):
             X = rng.standard_normal((20, 300))
             X[3] *= scale
             panels.append(X)
-        routes = _guard_routes(monkeypatch, panels)
-        assert {"certified", "exact pass", "exact fail"} <= set(routes)
+        assert _guard_routes(monkeypatch, panels) == ["certified"] * 49
 
     def test_common_factor(self, monkeypatch):
         # every row loads on one common series: one large eigenvalue
@@ -490,7 +561,7 @@ class TestCanonicalBases:
             U = _conditioned_panel(rng, U, 10.0**exponent)
         else:
             V = _conditioned_panel(rng, V, 10.0**exponent)
-        assert (linalg._whitened(U, V) is None) == (exponent > 4)
+        assert (linalg._cross(U, V)[1][1] is None) == (exponent <= 4)
         basis = canonical_bases(U, V)
         Qu, _ = np.linalg.qr(U.T)
         Qv, _ = np.linalg.qr(V.T)

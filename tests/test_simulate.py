@@ -239,7 +239,7 @@ class TestMcAngles:
         def no_qr(*args):
             raise AssertionError("mc_angles built a QR factor")
 
-        monkeypatch.setattr(linalg, "_orthonormal_rows", no_qr)
+        monkeypatch.setattr(linalg, "_qr_basis", no_qr)
         spec = SimSpec(K=20, M=30, S=200, signal_strengths=(0.8, 0.6), seed=1)
         summary = mc_angles(spec, replications=3)
         assert summary.theta_x.shape == (3, 2) and summary.lambdas.shape == (3, 20)
@@ -268,9 +268,9 @@ class TestMcAngles:
             lam.append(res.correlations_sq)
 
         def unused(*args):
-            raise AssertionError("mc_angles solved for weights")
+            raise AssertionError("mc_angles took the rank-revealing route")
 
-        monkeypatch.setattr(linalg, "_solve_weights", unused)
+        monkeypatch.setattr(linalg, "_qr_basis", unused)
         summary = mc_angles(spec, replications=5)
         assert np.array_equal(summary.theta_x, np.array(tx))
         assert np.array_equal(summary.theta_y, np.array(ty))

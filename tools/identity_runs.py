@@ -17,8 +17,10 @@ fixed seeds, so two source trees see the same bytes.  To compare two trees::
 
 The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
 regime-violating, wide (more rows than samples, with and without de-meaning),
-ill-conditioned (QR route), collinear and desk-size three-spike panels, and
-panels whose Gram guard is decided by its exact eigenvalue test; CSV
+ill-conditioned (the rank-revealing route), collinear and desk-size
+three-spike panels, panels whose Gram guard is decided by its exact
+eigenvalue test, and rows in other units (one row of a small panel, and
+every row of the desk panels at log-uniform scales); CSV
 ingestion (labels with a header, ``rows-are-samples`` with and without a
 header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``,
 labelled panels of several ``load_csv`` chunks, and one exit per input error:
@@ -71,16 +73,28 @@ def _signal_panels(seed, K, M, S, strengths):
     return U, V
 
 
+def _mixed(seed, X, cond):
+    """X mixed by ``Q diag(d) Q^T`` with a random orthogonal Q, which raises
+    the Gram condition number by about ``cond`` however the rows are scaled,
+    and leaves every canonical correlation unchanged."""
+    rng = np.random.default_rng(seed)
+    n = X.shape[0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * np.logspace(0.0, -0.5 * np.log10(cond), n)) @ Q.T @ X
+
+
 def _assert_guard_fallback(U):
-    """Check that the de-meaned U's Gram fails the shifted-Cholesky
-    certificate of ``linalg._gram_cholesky`` and passes its exact 1e4
-    condition-number test, so that analyze reaches the exact test and then
-    takes the Cholesky route."""
+    """Check that the de-meaned U's Gram matrix ``G`` fails the shifted-Cholesky
+    certificate of ``linalg._gram_cholesky`` and passes its exact 1e4 test,
+    both on ``D^-1 G D^-1`` with ``D = diag(G)^1/2``, so that analyze reaches
+    the exact test and then takes the Cholesky route."""
     X = U - U.mean(axis=1, keepdims=True)
     gram = X @ X.T
-    eig = np.linalg.eigvalsh(gram)
+    d = np.sqrt(gram.diagonal())
+    eig = np.linalg.eigvalsh(gram / d / d[:, None])
     assert eig[0] > 0.0 and eig[-1] <= 1e4 * eig[0], eig[-1] / eig[0]
-    gram.flat[:: gram.shape[0] + 1] -= 2.0 * np.abs(gram).sum(axis=1).max() / 1e4
+    delta = 2.0 * ((np.abs(gram) @ (1.0 / d)) / d).max() / 1e4
+    gram.flat[:: gram.shape[0] + 1] -= delta * gram.diagonal()
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -97,16 +111,24 @@ def make_inputs(inputs):
     panels["regime"] = _signal_panels(3, 10, 20, 25, ())
     panels["wide"] = _signal_panels(4, 30, 5, 20, ())
     U, V = _signal_panels(5, 40, 60, 400, (0.8,))
-    U[1] *= 1e4  # Gram condition ~1e8: the QR route
+    U[1] *= 1e4  # a row in other units: raw Gram condition ~1e8
     panels["ill"] = (U, V)
+    U, V = _signal_panels(5, 40, 60, 400, (0.8,))
+    panels["ill_mixed"] = (_mixed(5, U, 1e8), V)  # the rank-revealing route
     U, V = _signal_panels(6, 40, 60, 400, (0.8,))
     U[3] = U[0] + U[1]
     panels["collinear"] = (U, V)
     U, V = _signal_panels(10, 40, 60, 400, (0.8,))
-    U[1] *= 60.0  # Gram condition ~7e3: the exact guard decides
+    U = _mixed(10, U, 8e3)  # equilibrated Gram condition ~9e3: the exact test decides
     _assert_guard_fallback(U)
     panels["guard_fallback"] = (U, V)
-    panels["desk"] = _signal_panels(7, 200, 300, 1600, (0.9, 0.7, 0.5))
+    U, V = _signal_panels(11, 20, 30, 200, (0.9,))
+    U[0] *= 1e6  # raw Gram condition ~1e12
+    panels["row_units"] = (U, V)
+    U, V = panels["desk"] = _signal_panels(7, 200, 300, 1600, (0.9, 0.7, 0.5))
+    rng = np.random.default_rng(12)  # row scales log-uniform over 1e-3..1e3
+    panels["desk_units"] = (U * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1)),
+                            V * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1)))
     for name, (U, V) in panels.items():
         _write_panel(inputs / f"{name}_u.csv", U)
         _write_panel(inputs / f"{name}_v.csv", V)
@@ -209,6 +231,9 @@ def runs():
         ("analyze_regime", ["analyze", *panel("regime"), *extra]),
         ("analyze_wide", ["analyze", *panel("wide"), *extra, "--no-demean"]),
         ("analyze_ill", ["analyze", *panel("ill"), *extra]),
+        ("analyze_ill_mixed", ["analyze", *panel("ill_mixed"), *extra]),
+        ("analyze_row_units", ["analyze", *panel("row_units"), *extra]),
+        ("analyze_desk_units", ["analyze", *panel("desk_units"), *extra]),
         ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
         ("analyze_guard_fallback", ["analyze", *panel("guard_fallback"), *extra]),
         ("analyze_desk", ["analyze", *panel("desk"), *extra]),
