@@ -1,5 +1,13 @@
 """Command-line surface: analyze, simulate, master-check, pca.
 
+``simulate`` runs a named preset or a spec file.  A preset is the keys and
+values a spec file would hold, so ``--preset NAME`` runs as the file
+``io.write_sim_config`` writes for it would, and both pick the run kind by
+one rule: a ``rho_grid`` sweeps Monte Carlo curves, more than one
+replication runs one Monte Carlo summary, and one replication is a single
+draw.  ``--replications`` and ``--seed`` override either source.  ``fig2``
+simulates nothing: it writes closed-form curves at its dimensions.
+
 Exit codes: 0 success, 2 input error, 3 dimension-regime violation,
 4 numerical failure.
 """
@@ -27,7 +35,6 @@ from .errors import (
 )
 from .inference import _analyze_correlations, analyze
 from .linalg import pca_spectrum, sample_cca
-from .presets import PRESETS, build_spec
 from .simulate import _angles, gen_data, mc_angles, seeded_rng, theory
 
 EXIT_OK = 0
@@ -36,6 +43,24 @@ EXIT_REGIME = 3
 EXIT_NUMERICAL = 4
 
 _INPUT_ERRORS = (ParseError, MissingValue, ShapeMismatch, SpecError, OSError)
+
+# squared strengths spanning both sides of typical detection cutoffs
+_RHO_GRID = tuple(np.linspace(0.05, 0.95, 25).tolist())
+# the simulate presets, each as the keys and values of a spec file
+PRESETS = {
+    "fig1": dict(K=1000, M=1500, S=8000, signal_strengths=(0.7,)),
+    "fig4-uniform": dict(K=1000, M=1500, S=8000, signal_strengths=(0.7,),
+                         noise_law="uniform"),
+    "fig4-t3": dict(K=1000, M=1500, S=8000, signal_strengths=(0.7,),
+                    noise_law="student_t", noise_df=3.0),
+    "fig5": dict(K=500, M=2500, S=8000, rho_grid=_RHO_GRID),
+    "fig7": dict(K=1000, M=1500, S=8000, signal_strengths=(0.95, 0.75, 0.7)),
+    "fig8": dict(K=5, M=25, S=80, replications=1000, rho_grid=_RHO_GRID),
+    "fig9": dict(K=50, M=250, S=800, replications=200, rho_grid=_RHO_GRID),
+    "desk": dict(K=200, M=300, S=1600, signal_strengths=(0.7,), replications=50),
+}
+# the presets that simulate nothing: (K, M, S) of their closed-form curves
+THEORY_PRESETS = {"fig2": (1000, 1500, 8000)}
 
 
 def _print_spike_table(report, file=None):
@@ -172,8 +197,8 @@ def _run_mc_curve(spec, rho_grid, replications, out):
     return EXIT_OK
 
 
-def _run_theory_curve(spec, out):
-    regime = wachter.regime_from_dims(spec.K, spec.M, spec.S)
+def _run_theory_curve(K, M, S, out):
+    regime = wachter.regime_from_dims(K, M, S)
     rows = []
     for rho_sq in np.linspace(regime.rho_c_sq + 1e-3, 1.0, 200):
         pred = wachter.spike_prediction(rho_sq, regime)
@@ -186,43 +211,42 @@ def _run_theory_curve(spec, out):
 
 
 def _resolve_simulation(args):
-    """(spec, kind, replications, rho_grid) from ``--preset`` or ``--spec``."""
+    """(spec, kind, replications, rho_grid) of a simulating ``--preset`` or
+    of ``--spec``.  Both sources give their keys to ``hio.sim_spec``; then
+    ``--replications`` and ``--seed`` override, and the kind is
+    ``mc-curve`` with a ``rho_grid``, else ``mc`` above one replication,
+    else ``single-run``."""
     if args.preset:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise SpecError(
-                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
-            )
-        spec, kind, rho_grid = build_spec(preset), preset.kind, preset.rho_grid
-        replications = args.replications or preset.replications
+        if args.preset not in PRESETS:
+            raise SpecError(f"unknown preset {args.preset!r}; "
+                            f"available: {sorted([*PRESETS, *THEORY_PRESETS])}")
+        spec, extras = hio.sim_spec(PRESETS[args.preset])
     elif args.spec:
         spec, extras = hio.parse_sim_config(args.spec)
-        replications = args.replications or extras.get("replications", 1)
-        rho_grid = extras.get("rho_grid")
-        if rho_grid is not None:
-            kind = "mc-curve"
-        else:
-            kind = "single-run" if replications <= 1 else "mc"
     else:
         raise SpecError("simulate needs --preset or --spec")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    replications = args.replications or extras.get("replications", 1)
+    rho_grid = extras.get("rho_grid")
+    if rho_grid is not None:
+        kind = "mc-curve"
+    else:
+        kind = "mc" if replications > 1 else "single-run"
     return spec, kind, replications, rho_grid
 
 
 def cmd_simulate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if args.preset in THEORY_PRESETS:
+        return _run_theory_curve(*THEORY_PRESETS[args.preset], out)
     spec, kind, replications, rho_grid = _resolve_simulation(args)
-    if kind == "theory-curve":
-        return _run_theory_curve(spec, out)
-    if kind == "single-run":
-        return _run_single(spec, out)
-    if kind == "mc":
-        return _run_mc(spec, replications, out)
     if kind == "mc-curve":
         return _run_mc_curve(spec, rho_grid, replications, out)
-    raise SpecError(f"unknown preset kind {kind!r}")
+    if kind == "mc":
+        return _run_mc(spec, replications, out)
+    return _run_single(spec, out)
 
 
 class MasterCheck(NamedTuple):
@@ -344,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="synthetic draws and Monte Carlo curves")
-    ps.add_argument("--preset", default=None, help=f"one of {sorted(PRESETS)}")
+    ps.add_argument("--preset", default=None,
+                    help=f"one of {sorted([*PRESETS, *THEORY_PRESETS])}")
     ps.add_argument("--spec", default=None, help="flat key=value spec file")
     ps.add_argument("--replications", type=hio.positive_int, default=None)
     ps.add_argument("--seed", type=hio.nonnegative_int, default=None)

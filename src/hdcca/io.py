@@ -182,9 +182,9 @@ def _parse_block(fh):
             split = [line.partition(",") for line in lines]
             labels += [head.strip() for head, _, _ in split]
             lines = [tail for _, _, tail in split]
+        if not lines[0].rstrip("\r\n"):
+            return None  # a label-only row, which np.loadtxt would skip
         if width is None:
-            if not lines[0].rstrip("\r\n"):
-                return None  # a label-only first row
             width = lines[0].count(",") + 1
         try:
             block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
@@ -376,14 +376,13 @@ _HARNESS_FIELDS = {"replications": positive_int, "rho_grid": _floats}
 
 
 def parse_sim_config(path):
-    """Read a flat ``key = value`` file into (SimSpec, harness-extras dict).
+    """Read a flat ``key = value`` file into ``sim_spec`` of its keys.
 
-    Harness keys (``replications``, ``rho_grid``) ride along in the same file
-    and are returned separately.  An unknown key or a value its key cannot
-    take raises SpecError with the line number.
+    An unknown key, a key set twice or a value its key cannot take raises
+    SpecError with the line number.
     """
     fields: dict = {}
-    extras: dict = {}
+    line_of: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -396,18 +395,33 @@ def parse_sim_config(path):
             raise SpecError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        target = extras if key in _HARNESS_FIELDS else fields
         parse = _HARNESS_FIELDS.get(key) or _SPEC_FIELDS.get(key)
         if parse is None:
             raise SpecError(f"line {line_no}: unknown key {key!r}")
+        if key in line_of:
+            raise SpecError(f"line {line_no}: {key!r} already set on line {line_of[key]}")
         try:
-            target[key] = parse(value)
+            fields[key] = parse(value)
         except ValueError:
             raise SpecError(f"line {line_no}: bad value {value!r} for {key!r}") from None
+        line_of[key] = line_no
+    return sim_spec(fields)
+
+
+def sim_spec(fields: dict):
+    """(SimSpec, harness-extras dict) from the keys of a spec file and their
+    values.  The harness keys (``replications``, ``rho_grid``) are returned
+    separately.  Missing dimensions and grid strengths outside [0, 1) raise
+    SpecError, as does every value SimSpec rejects.
+    """
     missing = {"K", "M", "S"} - fields.keys()
     if missing:
         raise SpecError(f"config must set {sorted(missing)}")
-    return SimSpec(**fields), extras
+    extras = {key: value for key, value in fields.items() if key in _HARNESS_FIELDS}
+    if not all(math.isfinite(r) and 0.0 <= r < 1.0 for r in extras.get("rho_grid", ())):
+        raise SpecError("rho_grid strengths must lie in [0, 1)")
+    spec = SimSpec(**{key: value for key, value in fields.items() if key not in extras})
+    return spec, extras
 
 
 def write_sim_config(path, spec: SimSpec, extras: dict | None = None) -> None:

@@ -13,6 +13,7 @@ results bit for bit.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -77,8 +78,10 @@ class SimSpec:
             raise SpecError("need fewer signals than either dimension")
         if self.noise_law not in NOISE_LAWS:
             raise SpecError(f"noise_law must be one of {NOISE_LAWS}")
-        if self.noise_law == "student_t" and self.noise_df <= 2.0:
-            raise SpecError("student_t noise needs df > 2 for unit variance")
+        if self.noise_law == "student_t" and not (
+            math.isfinite(self.noise_df) and self.noise_df > 2.0
+        ):
+            raise SpecError("student_t noise needs a finite df > 2 for unit variance")
         if self.signal_mode not in SIGNAL_MODES:
             raise SpecError(f"signal_mode must be one of {SIGNAL_MODES}")
         if self.signal_mode == "rotated-pair" and self.S < 2 * q:
@@ -88,6 +91,8 @@ class SimSpec:
             )
         if self.signal_cov_scale and len(self.signal_cov_scale) > q:
             raise SpecError("signal_cov_scale has more entries than signals")
+        if not all(math.isfinite(v) and v > 0.0 for v in self.signal_cov_scale):
+            raise SpecError("signal_cov_scale entries must be finite and above 0")
         if self.signal_mode == "deterministic":
             if self.signal_x is None or self.signal_y is None:
                 raise SpecError("deterministic mode needs signal_x and signal_y")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from hdcca import io as hio
 from hdcca import linalg, simulate
-from hdcca.cli import main, master_check
+from hdcca import cli
+from hdcca.cli import PRESETS, main, master_check
 from hdcca.errors import MissingValue, ParseError, ShapeMismatch, SpecError
 from hdcca.io import (
     SPIKE_COLUMNS,
@@ -23,7 +25,6 @@ from hdcca.io import (
     parse_sim_config,
     write_sim_config,
 )
-from hdcca.presets import PRESETS, build_spec
 from hdcca.simulate import SimSpec, gen_data, mc_angles
 
 
@@ -210,6 +211,7 @@ def csv_texts(draw):
 class TestLoadCsvFastPath:
     """The vectorised parse against the per-cell loop it falls back to."""
 
+    @pytest.mark.filterwarnings("error")
     @settings(
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -259,6 +261,16 @@ class TestLoadCsvFastPath:
         dm = load_csv(p, orientation=orientation, demean=False)
         assert dm.values.tolist() == values
         assert dm.row_labels == labels
+
+    def test_label_only_row_in_later_chunk(self, tmp_path, monkeypatch):
+        # the second chunk's numeric block is empty: no np.loadtxt warning
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 8)
+        p = tmp_path / "m.csv"
+        p.write_text("a,1,2\nb,3,4\nc\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="row 3 has 0 cells, expected 2"):
+                load_csv(p)
 
     def test_clean_file_skips_cell_loop(self, tmp_path, monkeypatch):
         def per_cell(*args):
@@ -405,6 +417,12 @@ class TestSimConfig:
             p.write_text(f"K = 5\nM = 6\nS = 50\n{bad}\n")
             with pytest.raises(SpecError, match="line 4: "):
                 parse_sim_config(p)
+
+    def test_key_set_twice(self, tmp_path):
+        p = tmp_path / "spec.cfg"
+        p.write_text("K = 20\nM = 30\nS = 200\n\nK = 25\n")
+        with pytest.raises(SpecError, match="line 5: 'K' already set on line 1"):
+            parse_sim_config(p)
 
     def test_not_utf8(self, tmp_path):
         p = tmp_path / "spec.cfg"
@@ -723,8 +741,12 @@ class TestCliSimulate:
         assert main(["simulate", "--spec", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "line 4: bad value '-1' for 'seed'" in capsys.readouterr().err
 
-    def test_unknown_preset_exit_2(self, tmp_path):
-        assert main(["simulate", "--preset", "nope", "--out-dir", str(tmp_path)]) == 2
+    def test_unknown_preset_exit_2(self, tmp_path, capsys):
+        for name in ("nope", "desk.cfg"):
+            assert main(["simulate", "--preset", name, "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"input error: unknown preset {name!r}; available: ['desk', 'fig1', "
+                "'fig2', 'fig4-t3', 'fig4-uniform', 'fig5', 'fig7', 'fig8', 'fig9']\n")
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
@@ -744,34 +766,113 @@ class TestCliSimulate:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-class TestShippedPresets:
-    def test_all_config_files_parse(self, tmp_path):
-        # each shipped file is exactly what its built-in preset writes, and
-        # every preset that simulates has one
-        cfg_dir = Path(__file__).resolve().parent.parent / "presets"
-        files = sorted(cfg_dir.glob("*.cfg"))
-        assert len(files) >= 8
-        for cfg in files:
-            spec, extras = parse_sim_config(cfg)
-            assert spec.S > spec.K + spec.M
-            assert set(extras) <= {"replications", "rho_grid"}
-            preset = PRESETS[cfg.stem]
-            harness = {}
-            if preset.replications != 1:
-                harness["replications"] = preset.replications
-            if preset.rho_grid:
-                harness["rho_grid"] = preset.rho_grid
-            expected = tmp_path / cfg.name
-            write_sim_config(expected, build_spec(preset), harness)
-            assert cfg.read_bytes() == expected.read_bytes(), cfg.name
-        assert {f.stem for f in files} == {
-            p.name for p in PRESETS.values() if p.kind != "theory-curve"
-        }
+def resolve(*argv):
+    """``cli._resolve_simulation`` of ``hdcca simulate ARGV``."""
+    return cli._resolve_simulation(cli.build_parser().parse_args(["simulate", *argv]))
 
+
+class TestShippedPresets:
     def test_builtin_presets_build(self):
-        for preset in PRESETS.values():
-            if preset.kind in ("single-run", "mc"):
-                build_spec(preset, seed=0)
+        for name, fields in PRESETS.items():
+            spec, extras = hio.sim_spec(fields)
+            assert spec.S > spec.K + spec.M, name
+            assert set(extras) <= {"replications", "rho_grid"}, name
+            assert set(fields) - set(extras) <= set(hio._SPEC_FIELDS), name
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_written_preset_resolves_alike(self, tmp_path, name):
+        # a preset runs as the spec file write_sim_config writes for it,
+        # whose grid strengths are rounded to 12 significant digits
+        spec, extras = hio.sim_spec(PRESETS[name])
+        cfg = tmp_path / f"{name}.cfg"
+        write_sim_config(cfg, spec, extras)
+        for extra in ([], ["--replications", "1"], ["--replications", "3"],
+                      ["--seed", "9"]):
+            *head, grid = resolve("--spec", str(cfg), *extra)
+            *preset_head, preset_grid = resolve("--preset", name, *extra)
+            assert head == preset_head, extra
+            assert grid == (preset_grid and tuple(float(fmt(r)) for r in preset_grid))
+
+
+class TestRunKind:
+    """One rule for presets and spec files: a grid sweeps curves, more than
+    one replication runs Monte Carlo, one replication is a single draw."""
+
+    SINGLE = {"angles.csv", "correlations.csv", "histogram.csv", "overlay.csv",
+              "spikes.csv"}
+    MC = {"mean_lambdas.csv", "theta_x_curve.csv", "theta_y_curve.csv"}
+
+    @pytest.fixture(autouse=True)
+    def small_presets(self, monkeypatch):
+        monkeypatch.setitem(PRESETS, "small", dict(
+            K=20, M=30, S=200, signal_strengths=(0.9,), seed=3))
+        monkeypatch.setitem(PRESETS, "small-mc", dict(
+            K=20, M=30, S=200, signal_strengths=(0.9,), seed=3, replications=4))
+
+    def files(self, tmp_path, *argv):
+        out = tmp_path / "out"
+        assert main(["simulate", *argv, "--out-dir", str(out)]) == 0
+        return {p.name for p in out.iterdir()}
+
+    def test_single_run_preset_with_replications(self, tmp_path):
+        assert self.files(tmp_path, "--preset", "small", "--replications", "2") == self.MC
+
+    def test_mc_preset_with_one_replication(self, tmp_path):
+        assert self.files(tmp_path, "--preset", "small-mc", "--replications", "1") == (
+            self.SINGLE)
+
+    @pytest.mark.parametrize("name, kind, replications", [
+        ("small", "single-run", 1), ("small-mc", "mc", 4), ("fig5", "mc-curve", 1),
+        ("fig8", "mc-curve", 1000), ("desk", "mc", 50), ("fig1", "single-run", 1),
+    ])
+    def test_preset_kinds(self, name, kind, replications):
+        assert resolve("--preset", name)[1:3] == (kind, replications)
+
+    def test_preset_matches_its_spec_file(self, tmp_path):
+        spec, extras = hio.sim_spec(PRESETS["desk"])
+        cfg = tmp_path / "desk.cfg"
+        write_sim_config(cfg, spec, extras)
+        outs = []
+        for name, source in (("preset", ["--preset", "desk"]),
+                             ("spec", ["--spec", str(cfg)])):
+            out = tmp_path / name
+            assert main(["simulate", *source, "--replications", "3",
+                         "--out-dir", str(out)]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(self.MC)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_fig2_ignores_replications_and_seed(self, tmp_path):
+        assert self.files(tmp_path, "--preset", "fig2", "--replications", "3",
+                          "--seed", "4") == {"theory_curve.csv"}
+
+
+class TestBadSpecValues:
+    """Values SimSpec or the harness cannot take exit 2 before any draw."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("rho_grid = -0.1", "rho_grid strengths must lie in [0, 1)"),
+        ("rho_grid = 0.5, 1.0", "rho_grid strengths must lie in [0, 1)"),
+        ("rho_grid = 0.5, nan", "rho_grid strengths must lie in [0, 1)"),
+        ("noise_law = student_t\nnoise_df = nan", "finite df > 2"),
+        ("noise_law = student_t\nnoise_df = inf", "finite df > 2"),
+        ("signal_strengths = 0.5\nsignal_cov_scale = -1", "finite and above 0"),
+        ("signal_strengths = 0.5\nsignal_cov_scale = 0", "finite and above 0"),
+    ])
+    def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys, line, message):
+        def no_draw(*args):
+            raise AssertionError("drew before the spec was checked")
+
+        monkeypatch.setattr(simulate, "gen_data", no_draw)
+        monkeypatch.setattr(cli, "gen_data", no_draw)
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(f"K = 5\nM = 25\nS = 80\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--spec", str(cfg), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestCliMasterCheck:

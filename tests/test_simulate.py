@@ -38,6 +38,17 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             SimSpec(K=4, M=5, S=50, noise_law="student_t", noise_df=2.0)
 
+    @pytest.mark.parametrize("df", [np.nan, np.inf])
+    def test_rejects_non_finite_student_t_df(self, df):
+        with pytest.raises(SpecError, match="finite df > 2"):
+            SimSpec(K=5, M=25, S=80, noise_law="student_t", noise_df=df)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_signal_cov_scale(self, scale):
+        with pytest.raises(SpecError, match="finite and above 0"):
+            SimSpec(K=5, M=25, S=80, signal_strengths=(0.5, 0.3),
+                    signal_cov_scale=(1.0, scale))
+
     def test_deterministic_mode_needs_signals(self):
         with pytest.raises(SpecError):
             SimSpec(K=4, M=5, S=50, signal_strengths=(0.7,), signal_mode="deterministic")

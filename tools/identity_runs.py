@@ -29,9 +29,12 @@ first chunk, a ragged row, a label-only file, a file that is not UTF-8, a
 directory, ``--bins 0``);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including Monte Carlo runs large enough to draw on a worker thread (uniform
-and Student-t noise, mixing), regime violations, an unknown preset,
-``--replications 0``, a spec value its key cannot take and rotated-pair
-signals with too few samples; and
+and Student-t noise, mixing), ``--replications`` turning a Monte Carlo
+preset into one draw and a one-draw preset into Monte Carlo, the ``desk``
+preset and its spec file side by side, regime violations, an unknown preset,
+``--replications 0``, a spec value its key cannot take, a key set twice,
+grid strengths, Student-t degrees of freedom and signal variances out of
+range, and rotated-pair signals with too few samples; and
 ``master-check`` at two sizes over several seeds, plus instances with a root
 near a noise pole or a cancelled secular sum, and dimensions it rejects
 (K = 1, K > M).
@@ -100,6 +103,17 @@ def _assert_guard_fallback(U):
     except np.linalg.LinAlgError:
         return
     raise AssertionError("the guard_fallback panel passes the certificate")
+
+
+# spec values that no run may take, each after K = 5, M = 25, S = 80
+BAD_VALUES = {
+    "rho_grid_negative": "rho_grid = -0.1",
+    "rho_grid_one": "rho_grid = 0.5, 1.0",
+    "noise_df_nan": "noise_law = student_t\nnoise_df = nan",
+    "noise_df_inf": "noise_law = student_t\nnoise_df = inf",
+    "cov_scale_negative": "signal_strengths = 0.5\nsignal_cov_scale = -1",
+    "cov_scale_zero": "signal_strengths = 0.5\nsignal_cov_scale = 0",
+}
 
 
 def make_inputs(inputs):
@@ -211,7 +225,14 @@ def make_inputs(inputs):
         # two signals need four orthonormal directions in R^S
         "rotated_small_s": "K = 3\nM = 4\nS = 2\nsignal_strengths = 0.5, 0.3\n"
         "signal_mode = rotated-pair\n",
+        "key_twice": "K = 20\nM = 30\nS = 200\nK = 25\n",
+        # what hdcca.io.write_sim_config writes for the desk preset
+        "desk": "K = 200\nM = 300\nS = 1600\nsignal_strengths = 0.7\n"
+        "noise_law = gaussian\nsignal_mode = iid-gaussian\nseed = 0\n"
+        "replications = 50\n",
     }
+    for name, line in BAD_VALUES.items():
+        specs[name] = f"K = 5\nM = 25\nS = 80\n{line}\n"
     for name, text in specs.items():
         (inputs / f"{name}.cfg").write_text(text)
 
@@ -264,6 +285,15 @@ def runs():
         ("sim_fig7", ["simulate", "--preset", "fig7"]),
         ("sim_unknown", ["simulate", "--preset", "no-such-preset"]),
         ("sim_replications_0", ["simulate", "--preset", "desk", "--replications", "0"]),
+        ("sim_desk_replications_1",
+         ["simulate", "--preset", "desk", "--replications", "1"]),
+        ("sim_fig1_replications_2",
+         ["simulate", "--preset", "fig1", "--replications", "2"]),
+        ("sim_desk_replications_3",
+         ["simulate", "--preset", "desk", "--replications", "3"]),
+        ("spec_desk_replications_3",
+         ["simulate", "--spec", "../inputs/desk.cfg", "--replications", "3"]),
+        ("spec_key_twice", ["simulate", "--spec", "../inputs/key_twice.cfg"]),
         ("spec_single", ["simulate", "--spec", "../inputs/single.cfg"]),
         ("spec_single_seed",
          ["simulate", "--spec", "../inputs/single.cfg", "--seed", "21"]),
@@ -282,6 +312,8 @@ def runs():
         ("master_k1", ["master-check", "--dims", "1", "2", "10"]),
         ("master_k_above_m", ["master-check", "--dims", "5", "1", "20"]),
     ]
+    for name in BAD_VALUES:
+        out.append((f"spec_{name}", ["simulate", "--spec", f"../inputs/{name}.cfg"]))
     for name in ("empty", "na", "inf", "text", "ragged", "labels_only", "not_utf8"):
         out.append((f"csv_err_{name}",
                     ["analyze", f"../inputs/err_{name}.csv", "../inputs/err_v.csv"]))
