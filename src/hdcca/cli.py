@@ -368,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="synthetic draws and Monte Carlo curves")
-    ps.add_argument("--preset", default=None,
-                    help=f"one of {sorted([*PRESETS, *THEORY_PRESETS])}")
-    ps.add_argument("--spec", default=None, help="flat key=value spec file")
+    source = ps.add_mutually_exclusive_group()
+    source.add_argument("--preset", default=None,
+                        help=f"one of {sorted([*PRESETS, *THEORY_PRESETS])}")
+    source.add_argument("--spec", default=None, help="flat key=value spec file")
     ps.add_argument("--replications", type=hio.positive_int, default=None)
     ps.add_argument("--seed", type=hio.nonnegative_int, default=None)
     ps.add_argument("--out-dir", default=".")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -114,8 +115,9 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     without a numeric column raise ParseError (MissingValue for empty cells).
 
     The file is read in chunks of about ``_CHUNK_BYTES`` of whole lines, and
-    each chunk's numeric block is parsed in one vectorised call, so the text
-    held at once stays near one chunk whatever the file's size.  A file that
+    each chunk's numeric block is parsed in one vectorised call into one
+    buffer sized from the file, so the text held at once stays near one
+    chunk whatever the file's size, and the panel is held once.  A file that
     these calls cannot take whole (quotes, empty, bad or non-finite cells,
     ragged rows) is read again and parsed cell by cell, which also locates
     the first bad cell.
@@ -150,7 +152,8 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
 
 def _parse_block(fh):
     """``(values, labels, header)`` from one ``np.loadtxt`` per chunk of the
-    numeric block, or None when the file needs ``_parse_cells``.
+    numeric block, each copied into one buffer sized for the whole file, or
+    None when the file needs ``_parse_cells``.
 
     Without quotes a line's cells are its comma-separated fields, which is
     what ``csv.reader`` gives, so header and label detection see the same
@@ -162,8 +165,9 @@ def _parse_block(fh):
     """
     header = labeled = width = None
     labels = []
-    blocks = []
+    values, rows, read = None, 0, 0
     while lines := fh.readlines(_CHUNK_BYTES):
+        read += sum(map(len, lines))
         lines = [line for line in lines if _has_cells(line)]
         if not lines:
             continue
@@ -192,10 +196,21 @@ def _parse_block(fh):
             return None
         if block.shape != (len(lines), width) or not np.isfinite(block).all():
             return None
-        blocks.append(block)
-    if not blocks:
+        need = rows + len(block)
+        if values is None or need > len(values):
+            # room for the whole file at the rows per character read so far:
+            # most files take one allocation, and a shortfall grows it in place
+            total = max(need * os.fstat(fh.fileno()).st_size // read + 1, need)
+            if values is None:
+                values = np.empty((total, width))
+            else:
+                values.resize((max(total, len(values) * 9 // 8), width), refcheck=False)
+        values[rows:need] = block
+        rows = need
+    if values is None:
         return None
-    return np.concatenate(blocks), labels, header
+    values.resize((rows, width), refcheck=False)
+    return values, labels, header
 
 
 def _has_cells(line):
@@ -356,6 +371,14 @@ def _floats(value):
     return tuple(float(v) for v in value.replace(",", " ").split())
 
 
+def _grid(value):
+    """A ``rho_grid``: at least one strength."""
+    grid = _floats(value)
+    if not grid:
+        raise ValueError("no strengths")
+    return grid
+
+
 def _flag(value):
     spelling = value.lower()
     if spelling in ("1", "true", "yes", "on"):
@@ -372,7 +395,7 @@ _SPEC_FIELDS = {
     "signal_strengths": _floats, "signal_cov_scale": _floats,
     "noise_law": str, "signal_mode": str,
 }
-_HARNESS_FIELDS = {"replications": positive_int, "rho_grid": _floats}
+_HARNESS_FIELDS = {"replications": positive_int, "rho_grid": _grid}
 
 
 def parse_sim_config(path):

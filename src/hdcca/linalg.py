@@ -24,6 +24,18 @@ _GRAM_COND_LIMIT``: the norm bounds the largest eigenvalue and the backward
 error is far below the shift, so success proves the limit.  Only a failure
 lets the exact eigenvalues of ``D^-1 G D^-1`` decide the route.
 
+Both factorisations call LAPACK's ``dpotrf('L')`` in numpy's bundled
+OpenBLAS (Anderson et al., "LAPACK Users' Guide", 1999) on one work matrix
+beside ``G``, where ``np.linalg.cholesky`` would copy its input into a buffer
+of its own and write a third matrix; it is the routine numpy calls, on the
+same numbers, so the factor keeps its bits.  The work matrix holds ``G^T``,
+because column-major LAPACK reads a C-ordered matrix as its transpose: the
+factorisation then reads the lower triangle numpy reads, which matters
+because ``X X^T`` of a strided panel need not be exactly symmetric.  The
+factor is written back, C-ordered, into the memory of ``G``.  Where the
+library map or the symbol is missing (another BLAS, another OS) the same
+steps run through ``np.linalg.cholesky``.
+
 Every other input takes the rank-revealing route: the thin QR ``X^T = Q R``
 of each panel, then the SVD of the small ``R D^-1`` (scaling the columns of
 ``X^T`` leaves ``Q`` as it is), cut at the numerical rank.  A panel with
@@ -43,6 +55,8 @@ Carlo harness must match ``sample_cca``.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -127,6 +141,52 @@ def _panels(U, V, demean):
     return U, V
 
 
+@functools.cache
+def _lapack_dpotrf():
+    """LAPACK's ``dpotrf`` from numpy's bundled OpenBLAS (``scipy_dpotrf_64_``:
+    64-bit integers and a trailing string length), found once per process in
+    its map of loaded libraries, or None where that symbol or map is absent."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except (OSError, IndexError):
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+    for path in sorted(paths):
+        try:
+            potrf = ctypes.CDLL(path).scipy_dpotrf_64_
+        except (OSError, AttributeError):
+            continue
+        potrf.argtypes = [
+            ctypes.c_char_p, integer, ctypes.c_void_p, integer, integer, ctypes.c_size_t,
+        ]
+        potrf.restype = None
+        return potrf
+    return None
+
+
+def _cholesky_upper(a):
+    """Factor the C-ordered square ``a`` in place as column-major LAPACK sees
+    it, as ``a.T``: on success the upper triangle of ``a`` holds
+    ``np.linalg.cholesky(a.T).T`` bit for bit, by the ``dpotrf('L')`` numpy
+    calls, and the strict lower triangle is not read.  False when ``a.T`` is
+    not positive definite.  Without ``_lapack_dpotrf``, ``np.linalg.cholesky``
+    itself."""
+    potrf = _lapack_dpotrf()
+    if potrf is None:
+        try:
+            a[...] = np.linalg.cholesky(a.T).T
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    if not (a.dtype == np.float64 and a.flags.c_contiguous and a.ndim == 2
+            and a.shape[0] == a.shape[1]):
+        raise ValueError("dpotrf needs a C-ordered square float64 matrix")
+    n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+    potrf(b"L", n, a.ctypes.data, n, info, 1)
+    return info.value == 0
+
+
 def _gram_cholesky(X):
     """Cholesky factor of ``G = X X^T``, or None when the condition number of
     ``D^-1 G D^-1``, ``D = diag(G)^1/2``, exceeds ``_GRAM_COND_LIMIT``:
@@ -136,23 +196,24 @@ def _gram_cholesky(X):
     diag = gram.diagonal().copy()
     d = np.sqrt(diag)
     d[d == 0.0] = 1.0  # a zero row stays a zero row of D^-1 G D^-1
-    # G - delta D^2 = D (D^-1 G D^-1 - delta I) D, shifted in place and
-    # restored bit for bit: a shifted copy costs memory
     delta = 2.0 * ((np.abs(gram) @ (1.0 / d)) / d).max() / _GRAM_COND_LIMIT
-    np.fill_diagonal(gram, diag - delta * diag)
-    try:
-        np.linalg.cholesky(gram)
-        certified = True
-    except np.linalg.LinAlgError:
-        certified = False
-    np.fill_diagonal(gram, diag)
-    if not certified:
-        equilibrated = gram / d  # one n x n temporary, scaled in place
-        equilibrated /= d[:, None]
-        eig = np.linalg.eigvalsh(equilibrated)  # ascending
+    # each factorisation runs on G^T in one work matrix, so that it reads the
+    # lower triangle np.linalg.cholesky reads: X X^T of a strided panel need
+    # not be exactly symmetric.  G - delta D^2 = D (D^-1 G D^-1 - delta I) D
+    work = gram.T.copy()
+    np.fill_diagonal(work, diag - delta * diag)
+    if not _cholesky_upper(work):
+        np.divide(gram, d, out=work)
+        work /= d[:, None]
+        eig = np.linalg.eigvalsh(work)  # ascending
         if not (eig[0] > 0.0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0]):
             return None
-    return np.linalg.cholesky(gram)
+    np.copyto(work, gram.T)
+    if not _cholesky_upper(work):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    gram.fill(0.0)  # the factor, C-ordered, in the Gram matrix's memory
+    np.copyto(gram, work.T, where=np.tri(len(gram), dtype=bool))
+    return gram
 
 
 def _tri_solve(L, B, trans=False, inverse=False):
@@ -226,13 +287,16 @@ def _factor(U, V, n=None):
     """Squared canonical correlations (descending) and, for the first ``n``
     pairs (all by default), each side's ``(X, Q, P, F, A)``: the ``_cross``
     side and the singular vectors of its cross matrix as columns of ``A``.
-    ``n = 0`` forms no vectors: ``eigvalsh`` gives the correlations alone."""
+    ``n = 0`` forms no vectors: ``eigvalsh`` gives the correlations alone,
+    and each side keeps its panel but no factor."""
     T, left, right = _cross(U, V)
     wide = T.shape[0] <= T.shape[1]
     small = T @ T.T if wide else T.T @ T
-    if n == 0:
+    if n == 0:  # T and both factors go first: at fig1 size they would set the peak
+        del T, left, right
         lam = np.clip(np.linalg.eigvalsh(small)[::-1], 0.0, 1.0)
-        return lam, (*left, T[:, :0]), (*right, T.T[:, :0])
+        # zero pairs need no factor: an empty one recovers none
+        return lam, *((X, None, None, np.empty((0, 0)), np.empty((len(X), 0))) for X in (U, V))
     lam, Z = np.linalg.eigh(small)
     lam = np.clip(lam[::-1], 0.0, 1.0)
     sigma = np.sqrt(lam[:n])

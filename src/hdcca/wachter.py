@@ -25,6 +25,7 @@ re-orient angle labels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -232,7 +233,12 @@ def wachter_density(x, regime: AsymptoticRegime):
     return float(out[0]) if scalar else out
 
 
-_GL_CACHE = np.polynomial.legendre.leggauss(_GL_NODES)
+@functools.cache
+def _gauss_legendre():
+    """The ``_GL_NODES``-point Gauss-Legendre nodes and weights, built on
+    first use: building them imports ``numpy.polynomial`` and runs an
+    eigensolver, which no command that skips ``wachter_cdf`` should pay."""
+    return np.polynomial.legendre.leggauss(_GL_NODES)
 
 
 def _bulk_integral(f, regime: AsymptoticRegime, upper=None):
@@ -248,7 +254,7 @@ def _bulk_integral(f, regime: AsymptoticRegime, upper=None):
         min(max((upper - mid) / half, -1.0), 1.0)
     )
     lo = -math.pi / 2
-    t, w = _GL_CACHE
+    t, w = _gauss_legendre()
     theta = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
     x = mid + half * np.sin(theta)
     # density * dx = tau_K/(2 pi) * (half cos(theta))^2 / (x (1-x)) dtheta,

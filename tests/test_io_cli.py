@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -271,6 +272,38 @@ class TestLoadCsvFastPath:
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="row 3 has 0 cells, expected 2"):
                 load_csv(p)
+
+    def test_panel_held_once(self, tmp_path, monkeypatch):
+        # the chunks' rows go into one buffer sized from the file: the traced
+        # peak stays below 1.5 panels and one chunk, where the chunks' blocks
+        # and their concatenation held the panel twice
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 1 << 16)
+        values = np.random.default_rng(9).standard_normal((1000, 200))
+        p = tmp_path / "m.csv"
+        p.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        assert p.stat().st_size > 50 * hio._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            dm = load_csv(p, demean=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(dm.values, values)
+        assert peak <= 1.5 * values.nbytes + hio._CHUNK_BYTES, peak / values.nbytes
+
+    def test_rows_beyond_first_estimate(self, tmp_path, monkeypatch):
+        # long lines first: the buffer sized from the first chunk falls short
+        # and grows in place, keeping every row and bit
+        monkeypatch.setattr(hio, "_CHUNK_BYTES", 64)
+        values = np.random.default_rng(10).standard_normal((40, 3))
+        values[10:] = np.round(values[10:], 1)
+        lines = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
+        p = tmp_path / "m.csv"
+        p.write_text("".join(lines))
+        # the first chunk is one line, whose length sizes the buffer
+        assert p.stat().st_size // len(lines[0]) + 1 < len(lines)
+        dm = load_csv(p, demean=False)
+        assert dm.values.tobytes() == values.tobytes()
 
     def test_clean_file_skips_cell_loop(self, tmp_path, monkeypatch):
         def per_cell(*args):
@@ -748,6 +781,18 @@ class TestCliSimulate:
                 f"input error: unknown preset {name!r}; available: ['desk', 'fig1', "
                 "'fig2', 'fig4-t3', 'fig4-uniform', 'fig5', 'fig7', 'fig8', 'fig9']\n")
 
+    @pytest.mark.parametrize("preset", ["fig2", "desk"])
+    def test_preset_with_spec_exit_2(self, tmp_path, capsys, preset):
+        # one source per run: --spec is never silently ignored, even when
+        # the file does not exist
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--preset", preset, "--spec", "no-such-file.cfg",
+                  "--out-dir", str(out)])
+        assert info.value.code == 2
+        assert "not allowed with argument --preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_outputs(self, tmp_path):
         cfg = tmp_path / "spec.cfg"
         write_sim_config(
@@ -860,6 +905,7 @@ class TestBadSpecValues:
         ("noise_law = student_t\nnoise_df = inf", "finite df > 2"),
         ("signal_strengths = 0.5\nsignal_cov_scale = -1", "finite and above 0"),
         ("signal_strengths = 0.5\nsignal_cov_scale = 0", "finite and above 0"),
+        ("rho_grid =", "line 4: bad value '' for 'rho_grid'"),
     ])
     def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys, line, message):
         def no_draw(*args):

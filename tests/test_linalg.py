@@ -415,6 +415,51 @@ class TestGramCholesky:
         X[4] = X[1] - X[2]
         assert _guard_routes(monkeypatch, [X, np.zeros((3, 50))]) == ["exact fail"] * 2
 
+    @pytest.mark.parametrize("route", ["dpotrf", "fallback"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 30, 100])
+    def test_factor_bits(self, monkeypatch, n, layout, route):
+        # LAPACK's dpotrf on the work matrix and the np.linalg.cholesky
+        # fallback both give the bits of np.linalg.cholesky(X X^T): at n=100
+        # a strided panel's X X^T is not exactly symmetric, and the lower
+        # triangle is the one read
+        if route == "fallback":
+            monkeypatch.setattr(linalg, "_lapack_dpotrf", lambda: None)
+        elif linalg._lapack_dpotrf() is None:
+            pytest.skip("numpy's OpenBLAS dpotrf is not loaded")
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 8 * n + 20))
+        X = {"C": X, "F": np.asfortranarray(X), "strided": X[:, ::2]}[layout]
+        gram = X @ X.T
+        if layout == "strided" and n == 100:
+            assert not np.array_equal(gram, gram.T)
+        L = linalg._gram_cholesky(X)
+        assert L.flags.c_contiguous
+        assert L.tobytes() == np.linalg.cholesky(gram).tobytes()
+
+    def test_dpotrf_takes_square_c_ordered_doubles(self):
+        if linalg._lapack_dpotrf() is None:
+            pytest.skip("numpy's OpenBLAS dpotrf is not loaded")
+        for a in (np.ones(4), np.eye(4)[:3].copy(), np.eye(4, dtype=np.float32),
+                  np.asfortranarray(np.eye(4)), np.eye(8)[::2, ::2]):
+            with pytest.raises(ValueError, match="C-ordered square float64"):
+                linalg._cholesky_upper(a)
+
+    def test_kept_factor_failure_raises(self, monkeypatch):
+        # a certificate that passed and a kept factorisation that fails
+        # raise as np.linalg.cholesky does
+        cholesky_upper, calls = linalg._cholesky_upper, []
+
+        def second_fails(a):
+            calls.append(a.shape)
+            return len(calls) == 1 and cholesky_upper(a)
+
+        monkeypatch.setattr(linalg, "_cholesky_upper", second_fails)
+        X = np.random.default_rng(3).standard_normal((10, 60))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            linalg._gram_cholesky(X)
+        assert calls == [(10, 10)] * 2
+
 
 class TestTriSolve:
     @pytest.mark.parametrize("trans", [False, True])

@@ -4,6 +4,8 @@ import pytest
 from hdcca import linalg, master
 from hdcca.cli import master_instance
 from hdcca.errors import (
+    DegenerateQ,
+    DenominatorVanishes,
     DimensionError,
     PoleProximity,
     RepeatedCosine,
@@ -374,6 +376,17 @@ class TestVectorStats:
         assert st.alpha0_sq == pytest.approx(1.0 / 4.0, abs=1e-10)
         assert st.cos_theta_x == pytest.approx(1.0, abs=1e-8)
 
+    def test_vanishing_t1_raises_degenerate_q(self):
+        # u* is orthogonal to every basis vector and to v*, and v* lies along
+        # the larger side's unpaired direction: T1 and T3 vanish at every z
+        inputs = MasterInputs(
+            cosines=np.array([0.5]), uu_star=1.0, vv_star=1.0, uv_star=0.0,
+            u_star_u=np.zeros(1), u_star_v=np.zeros(2),
+            v_star_u=np.zeros(1), v_star_v=np.array([0.0, 1.0]),
+        )
+        with pytest.raises(DegenerateQ, match="denominator vanishes at z=0.3"):
+            master_vector_stats(0.3, inputs)
+
 
 class TestPcaMaster:
     def test_zero_overlaps(self):
@@ -526,6 +539,15 @@ class TestAsymptoticRelations:
         s_x, s_y = sin2_angles(r * r, reg)
         assert 1.0 - ev.cos2_x == pytest.approx(s_x, abs=0.02)
         assert 1.0 - ev.cos2_y == pytest.approx(s_y, abs=0.02)
+
+    def test_nonpositive_strength_raises_denominator_vanishes(self):
+        reg = regime_from_ratios(8.0, 16.0 / 3.0)
+        z = z_from_rho2(0.49, reg)
+        G = wachter_G(z, reg)
+        k, m = 1.0 / reg.tau_K, 1.0 / reg.tau_M
+        for r_sq in (0.0, -0.1):
+            with pytest.raises(DenominatorVanishes, match="r_sq must be positive"):
+                cos2_relation(z, G.value, G.derivative, r_sq, k, m)
 
 
 class TestInputValidation:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from hdcca.wachter import (
     z_from_rho2,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 FIG_REGIME = regime_from_dims(1000, 1500, 8000)  # tau_K=8, tau_M=16/3
 
 
@@ -265,6 +270,30 @@ class TestDensity:
         cdf = wachter_cdf(xs, r)
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+    def test_cdf_bits(self):
+        # the bits the 256-point rule gave when it was built at import time
+        r = regime_from_dims(200, 300, 1600)
+        xs = np.linspace(r.lambda_minus, r.lambda_plus, 7)[1:-1]
+        expected = [
+            "0x1.588d38e0a6d38p-2", "0x1.17d70f388db0dp-1", "0x1.6aac99af8da2dp-1",
+            "0x1.ada543d6f03c4p-1", "0x1.e1f0d8335e9e6p-1",
+        ]
+        assert [float(v).hex() for v in wachter_cdf(xs, r)] == expected
+
+    def test_cli_import_builds_no_nodes(self):
+        # the quadrature nodes and numpy.polynomial wait for wachter_cdf
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        code = ("import sys, hdcca.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStieltjes:

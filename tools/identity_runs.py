@@ -32,9 +32,10 @@ including Monte Carlo runs large enough to draw on a worker thread (uniform
 and Student-t noise, mixing), ``--replications`` turning a Monte Carlo
 preset into one draw and a one-draw preset into Monte Carlo, the ``desk``
 preset and its spec file side by side, regime violations, an unknown preset,
-``--replications 0``, a spec value its key cannot take, a key set twice,
-grid strengths, Student-t degrees of freedom and signal variances out of
-range, and rotated-pair signals with too few samples; and
+``--replications 0``, ``--preset`` with ``--spec``, a spec value its key
+cannot take, a key set twice, an empty ``rho_grid``, grid strengths,
+Student-t degrees of freedom and signal variances out of range, and
+rotated-pair signals with too few samples; and
 ``master-check`` at two sizes over several seeds, plus instances with a root
 near a noise pole or a cancelled secular sum, and dimensions it rejects
 (K = 1, K > M).
@@ -109,6 +110,7 @@ def _assert_guard_fallback(U):
 BAD_VALUES = {
     "rho_grid_negative": "rho_grid = -0.1",
     "rho_grid_one": "rho_grid = 0.5, 1.0",
+    "rho_grid_empty": "rho_grid =",
     "noise_df_nan": "noise_law = student_t\nnoise_df = nan",
     "noise_df_inf": "noise_law = student_t\nnoise_df = inf",
     "cov_scale_negative": "signal_strengths = 0.5\nsignal_cov_scale = -1",
@@ -284,6 +286,8 @@ def runs():
         ("sim_fig2", ["simulate", "--preset", "fig2"]),
         ("sim_fig7", ["simulate", "--preset", "fig7"]),
         ("sim_unknown", ["simulate", "--preset", "no-such-preset"]),
+        ("sim_preset_and_spec",
+         ["simulate", "--preset", "fig2", "--spec", "no-such-file.cfg"]),
         ("sim_replications_0", ["simulate", "--preset", "desk", "--replications", "0"]),
         ("sim_desk_replications_1",
          ["simulate", "--preset", "desk", "--replications", "1"]),
