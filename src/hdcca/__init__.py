@@ -22,9 +22,7 @@ from .errors import (
     RankDeficient,
     RegimeWarning,
     RepeatedCosine,
-    RepeatedSingular,
     ShapeMismatch,
-    SingularCovariance,
     SpecError,
     ZeroVector,
 )
@@ -39,11 +37,9 @@ from .inference import (
 from .linalg import (
     CanonicalBasis,
     CcaResult,
-    PopulationSpec,
     angle_between,
     canonical_bases,
     pca_spectrum,
-    population_cca,
     sample_cca,
 )
 from .master import (
@@ -54,23 +50,19 @@ from .master import (
     empirical_G,
     master_residual,
     master_roots,
-    master_vector_coeffs,
     master_vector_stats,
-    pca_master,
     wachter_G,
 )
 from .simulate import (
     GroundTruth,
     McSummary,
     SimSpec,
-    WickReport,
     gen_data,
     ks_distance,
     mc_angles,
     sample_r_sq,
     seeded_rng,
     sinusoid_pair,
-    wick_check,
 )
 from .wachter import (
     AsymptoticRegime,

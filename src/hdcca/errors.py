@@ -25,10 +25,6 @@ class RankDeficient(HdccaError):
     """Data matrix rows are numerically collinear."""
 
 
-class SingularCovariance(HdccaError):
-    """A covariance block is singular or not positive definite."""
-
-
 class ZeroVector(HdccaError):
     """An angle was requested against a zero vector."""
 
@@ -75,10 +71,6 @@ class ShapeMismatch(HdccaError):
 
 class RepeatedCosine(UserWarning):
     """Two noise canonical cosines coincide; the degenerate root is reported directly."""
-
-
-class RepeatedSingular(UserWarning):
-    """Two noise singular values coincide; the degenerate root is reported directly."""
 
 
 class GateWarning(UserWarning):

@@ -67,7 +67,6 @@ from .errors import (
     DimensionError,
     RankDeficient,
     RegimeWarning,
-    SingularCovariance,
     ZeroVector,
 )
 
@@ -366,75 +365,6 @@ def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
         right_variables=right_v,
         swapped=U.shape[0] > V.shape[0],
     )
-
-
-# ---------------------------------------------------------------------------
-# Population CCA
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PopulationSpec:
-    """Covariance blocks of a joint (K+M)-dimensional population.
-
-    ``signal_left`` / ``signal_right`` / ``strengths`` optionally record the
-    planted signal vectors and their squared correlations for reference.
-    """
-
-    cov_uu: np.ndarray
-    cov_uv: np.ndarray
-    cov_vv: np.ndarray
-    signal_left: np.ndarray | None = None
-    signal_right: np.ndarray | None = None
-    strengths: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        self.cov_uu = np.asarray(self.cov_uu, dtype=float)
-        self.cov_uv = np.asarray(self.cov_uv, dtype=float)
-        self.cov_vv = np.asarray(self.cov_vv, dtype=float)
-        K, M = self.cov_uv.shape
-        if self.cov_uu.shape != (K, K) or self.cov_vv.shape != (M, M):
-            raise DimensionError("covariance block shapes are inconsistent")
-
-    def joint(self) -> np.ndarray:
-        top = np.hstack([self.cov_uu, self.cov_uv])
-        bottom = np.hstack([self.cov_uv.T, self.cov_vv])
-        return np.vstack([top, bottom])
-
-    def is_valid(self, tol: float = 1e-10) -> bool:
-        return bool(np.linalg.eigvalsh(self.joint()).min() > -tol)
-
-    @classmethod
-    def single_signal(cls, K: int, M: int, r: float) -> "PopulationSpec":
-        """Only the first coordinates of the two vectors are correlated, with
-        correlation ``r``; everything else is independent unit noise."""
-        cov_uv = np.zeros((K, M))
-        cov_uv[0, 0] = r
-        return cls(np.eye(K), cov_uv, np.eye(M), strengths=(r * r,))
-
-
-class PopulationCca(NamedTuple):
-    eigenvalues: np.ndarray      # squared population correlations, descending
-    left_vectors: np.ndarray     # rows: weight vectors in R^K
-    right_vectors: np.ndarray    # rows: weight vectors in R^M
-
-
-def population_cca(spec: PopulationSpec) -> PopulationCca:
-    """Eigen-solve the population problem via Cholesky whitening.
-
-    For a rank-1 cross block there is exactly one nonzero eigenvalue, the
-    squared correlation of the planted signal pair.
-    """
-    try:
-        Lu = np.linalg.cholesky(spec.cov_uu)
-        Lv = np.linalg.cholesky(spec.cov_vv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"covariance block not positive definite: {exc}")
-    A, sigma, Bt = np.linalg.svd(_whiten(Lu, Lv, spec.cov_uv.copy()), full_matrices=False)
-    left = _tri_solve(Lu, A, trans=True).T
-    right = _tri_solve(Lv, Bt.T, trans=True).T
-    _fix_signs(left)
-    _fix_signs(right)
-    return PopulationCca(sigma**2, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ determines the overlap of each canonical variable with the adjoined vectors
 (``master_vector_stats``), which is how estimation precision can be computed
 without ever observing the true signal.
 
-The module also carries the PCA analogue (one matrix, one distinguished row,
-``pca_master``) and the large-dimension limits of the equations, where the
+The module also carries the large-dimension limits of the equations, where the
 scalar-product table collapses to a resolvent-type sum ``G`` over the noise
 correlations (``empirical_G``, ``asymptotic_r2``, ``asymptotic_cos2``).  With
 ``G`` replaced by the closed-form bulk transform the limits reduce to the
@@ -35,7 +34,6 @@ from .errors import (
     HdccaError,
     PoleProximity,
     RepeatedCosine,
-    RepeatedSingular,
 )
 from .linalg import CanonicalBasis, canonical_bases
 
@@ -285,21 +283,6 @@ def master_residual(z: float, inputs: MasterInputs) -> float:
     return float(_terms(inputs._cf, z).residual)
 
 
-def _bisect(f, a, b, fa, iters=200):
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def _bracketed_newton(cf: _Coeffs, a, b, fa, fb):
     """The root of the residual in ``[a, b]``, whose end values ``fa`` and
     ``fb`` differ in sign: Newton steps from the secant point, each keeping
@@ -490,16 +473,13 @@ def _q_ratios(inputs: MasterInputs, z: float):
     return q_a, q_b
 
 
-def _vector_solution(z: float, inputs: MasterInputs, what: str):
-    """Statistics and coefficient pieces of the canonical pair at root z.
-
-    Returns ``(stats, q_a, d_vec, inv_i, e_vec, inv_j)``: alpha's noise
-    coefficients are ``alpha_0 d_vec inv_i`` and beta's ``beta_0 e_vec inv_j``.
-    """
+def master_vector_stats(z: float, inputs: MasterInputs) -> VectorStats:
+    """Squared signal loadings and |cosines| of the canonical variables at a
+    verified root z against the adjoined vectors."""
     if z <= 0.0:
-        raise PoleProximity(f"{what} need a strictly positive root")
+        raise PoleProximity("vector statistics need a strictly positive root")
     if np.any(z == inputs.poles()):
-        raise PoleProximity(f"{what} are undefined at the noise-cosine pole z={z}")
+        raise PoleProximity(f"vector statistics are undefined at the noise-cosine pole z={z}")
     q_a, q_b = _q_ratios(inputs, z)
     km1 = inputs.K - 1
     c = inputs.cosines
@@ -529,117 +509,7 @@ def _vector_solution(z: float, inputs: MasterInputs, what: str):
     beta0_sq = 1.0 / inv_b0
     cos_x = abs(num_x) * np.sqrt(alpha0_sq / inputs.uu_star)
     cos_y = abs(num_y) * np.sqrt(beta0_sq / inputs.vv_star)
-    stats = VectorStats(alpha0_sq, beta0_sq, float(cos_x), float(cos_y))
-    return stats, q_a, d_vec, inv_i, e_vec, inv_j
-
-
-def master_vector_stats(z: float, inputs: MasterInputs) -> VectorStats:
-    """Squared signal loadings and |cosines| of the canonical variables at a
-    verified root z against the adjoined vectors."""
-    return _vector_solution(z, inputs, "vector statistics")[0]
-
-
-def master_vector_coeffs(z: float, inputs: MasterInputs):
-    """Full coefficient vectors (alpha, beta) of the canonical pair at root z.
-
-    alpha combines (u*, u_1, ..., u_{K-1}); beta combines
-    (v*, v_1, ..., v_{M-1}).  Both give unit-norm canonical variables; the
-    overall sign is fixed by alpha_0 > 0.
-    """
-    stats, q_a, d_vec, inv_i, e_vec, inv_j = _vector_solution(z, inputs, "coefficients")
-    alpha0 = float(np.sqrt(stats.alpha0_sq))
-    alpha = np.concatenate([[alpha0], alpha0 * d_vec * inv_i])
-    beta0 = -alpha0 * np.sqrt(z) * q_a
-    beta = np.concatenate([[beta0], beta0 * e_vec * inv_j])
-    return alpha, beta
-
-
-# ---------------------------------------------------------------------------
-# PCA analogue: one matrix, one distinguished row
-# ---------------------------------------------------------------------------
-
-def pca_master(lambda_star: float, noise_singulars, overlaps):
-    """Squared singular values of a matrix whose zeroth row has length
-    ``lambda_star`` along unit direction u*, given the noise rows' singular
-    values and the overlaps <u*, u_i> with their right singular vectors.
-
-    Returns ``(a_roots, alpha0_sq)``, both descending in ``a``.  Poles with
-    repeated singular values or zero overlap are degenerate: the pole itself
-    is a root and its vector carries no signal component (alpha0_sq = 0).
-    """
-    lam = np.asarray(noise_singulars, dtype=float)
-    w = np.asarray(overlaps, dtype=float)
-    if lam.shape != w.shape:
-        raise DimensionError("noise singular values and overlaps differ in length")
-    if np.any(np.diff(lam) > _DUP_TOL):
-        raise ValueError("noise singular values must be sorted in decreasing order")
-    lam2 = lam * lam
-    w2 = w * w
-    ls2 = float(lambda_star) ** 2
-
-    degenerate: list[float] = []
-    active_l2: list[float] = []
-    active_w2: list[float] = []
-    n_rep = 0
-    for i in range(lam2.shape[0]):
-        if active_l2 and abs(active_l2[-1] - lam2[i]) <= _DUP_TOL:
-            degenerate.append(lam2[i])
-            active_w2[-1] += w2[i]
-            n_rep += 1
-        elif w2[i] <= 1e-30:
-            degenerate.append(lam2[i])
-        else:
-            active_l2.append(float(lam2[i]))
-            active_w2.append(float(w2[i]))
-    if n_rep:
-        warnings.warn(
-            f"{n_rep} repeated noise singular value(s); reporting the "
-            "degenerate root(s) directly",
-            RepeatedSingular,
-            stacklevel=2,
-        )
-    al2 = np.array(active_l2)
-    aw2 = np.array(active_w2)
-
-    def fval(a):
-        return ls2 * (1.0 + float((al2 * aw2) @ (1.0 / (a - al2)))) - a
-
-    roots: list[float] = []
-    if al2.size == 0:
-        roots.append(ls2)
-    else:
-        hi = max(al2[0], ls2) + 1.0
-        while fval(hi) > 0.0:
-            hi *= 2.0
-        uppers = [hi] + list(al2)
-        lowers = list(al2) + [0.0]
-        for lo, hi_k in zip(lowers, uppers):
-            width = hi_k - lo
-            pad = 1e-12 * max(width, 1.0)
-            a, b = lo + pad, hi_k - (pad if hi_k in al2 else 0.0)
-            fa, fb = fval(a), fval(b)
-            if fa == 0.0:
-                roots.append(a)
-                continue
-            if fb == 0.0:
-                roots.append(b)
-                continue
-            if np.sign(fa) == np.sign(fb):
-                # no root in this slot (can happen only at the closed bottom
-                # interval when f(0) > 0 and no crossing occurs)
-                continue
-            roots.append(_bisect(fval, a, b, fa))
-
-    a_roots = np.sort(np.array(roots + degenerate))[::-1]
-    alpha0 = np.zeros_like(a_roots)
-    for i, a in enumerate(a_roots):
-        if degenerate and np.min(np.abs(np.array(degenerate) - a)) <= _DUP_TOL:
-            alpha0[i] = 0.0
-            continue
-        s1 = float((al2 * aw2) @ (1.0 / (a - al2))) if al2.size else 0.0
-        s2 = float((al2 * aw2) @ (1.0 / (a - al2) ** 2)) if al2.size else 0.0
-        alpha0[i] = 1.0 / (1.0 + a * s2 / (1.0 + s1))
-    return a_roots, alpha0
+    return VectorStats(alpha0_sq, beta0_sq, float(cos_x), float(cos_y))
 
 
 # ---------------------------------------------------------------------------

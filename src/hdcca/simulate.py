@@ -200,62 +200,6 @@ def sample_r_sq(x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fourth-moment diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WickReport:
-    """Largest deviation of the joint fourth moments from pairwise products.
-
-    ``deviations`` holds the same estimate on disjoint batches of the
-    sample; with a finite fourth moment the batches agree, while a divergent
-    one leaves each batch dominated by its own extreme draws, flagged by
-    ``converged = False``.
-    """
-
-    max_deviation: float
-    deviations: np.ndarray
-    converged: bool
-
-
-def _wick_deviation(samples):
-    n = samples.shape[1]
-    cov = samples.T @ samples / samples.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for l in range(k, n):
-                    m4 = float(
-                        np.mean(samples[:, i] * samples[:, j] * samples[:, k] * samples[:, l])
-                    )
-                    pairing = (
-                        cov[i, j] * cov[k, l]
-                        + cov[i, k] * cov[j, l]
-                        + cov[i, l] * cov[j, k]
-                    )
-                    worst = max(worst, abs(m4 - pairing))
-    return worst
-
-
-def wick_check(samples, batches: int = 3) -> WickReport:
-    """Estimate fourth-moment pairing deviations on nested sample prefixes."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < samples.shape[1]:
-        samples = samples.T
-    if samples.shape[0] < 16:
-        raise SpecError("too few draws for fourth-moment estimation")
-    chunks = np.array_split(samples, batches, axis=0)
-    devs = np.array([_wick_deviation(chunk) for chunk in chunks])
-    if batches > 1:
-        spread = float(devs.max() - devs.min())
-        converged = bool(spread <= 0.5 * float(np.median(devs)) + 0.25)
-    else:
-        converged = True
-    return WickReport(_wick_deviation(samples), devs, converged)
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo harness
 # ---------------------------------------------------------------------------
 

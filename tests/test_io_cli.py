@@ -212,7 +212,6 @@ def csv_texts(draw):
 class TestLoadCsvFastPath:
     """The vectorised parse against the per-cell loop it falls back to."""
 
-    @pytest.mark.filterwarnings("error")
     @settings(
         max_examples=300, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],

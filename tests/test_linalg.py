@@ -7,11 +7,9 @@ from hdcca import linalg
 from hdcca.errors import DimensionError, RankDeficient, RegimeWarning, ZeroVector
 from hdcca.inference import analyze
 from hdcca.linalg import (
-    PopulationSpec,
     angle_between,
     canonical_bases,
     pca_spectrum,
-    population_cca,
     sample_cca,
 )
 from hdcca.simulate import SimSpec, gen_data
@@ -512,46 +510,6 @@ class TestWhitening:
         linalg._tri_solve(L, right.T, inverse=True)
         for got, ref in ((left, np.linalg.solve(L, B)), (right, np.linalg.solve(L, C.T).T)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-class TestPopulationCca:
-    def test_single_signal_structure(self):
-        spec = PopulationSpec.single_signal(5, 7, r=0.6)
-        eig, left, right = population_cca(spec)
-        assert eig[0] == pytest.approx(0.36, abs=1e-12)
-        assert np.allclose(eig[1:], 0.0, atol=1e-12)
-        assert np.allclose(np.abs(left[0]), np.eye(5)[0], atol=1e-10)
-        assert np.allclose(np.abs(right[0]), np.eye(7)[0], atol=1e-10)
-
-    def test_zero_cross_block(self):
-        spec = PopulationSpec(np.eye(4), np.zeros((4, 6)), np.eye(6))
-        eig, _, _ = population_cca(spec)
-        assert np.allclose(eig, 0.0, atol=1e-14)
-
-    def test_matches_large_sample_cca(self):
-        rng = np.random.default_rng(11)
-        K, M, S = 3, 4, 1_000_000
-        A = rng.standard_normal((K, K))
-        B = rng.standard_normal((M, M))
-        cov_uu = A @ A.T + K * np.eye(K)
-        cov_vv = B @ B.T + M * np.eye(M)
-        cov_uv = 0.5 * rng.standard_normal((K, M))
-        spec = PopulationSpec(cov_uu, cov_uv, cov_vv)
-        assert spec.is_valid()
-        eig = population_cca(spec).eigenvalues
-        L = np.linalg.cholesky(spec.joint())
-        W = L @ rng.standard_normal((K + M, S))
-        sampled = sample_cca(W[:K], W[K:]).correlations_sq
-        assert np.max(np.abs(eig - sampled)) < 2e-2
-
-    def test_population_is_r_squared(self):
-        # the single nonzero eigenvalue equals C_uv^2 / (C_uu C_vv)
-        spec = PopulationSpec.single_signal(4, 5, r=0.8)
-        c_uu = spec.cov_uu[0, 0]
-        c_vv = spec.cov_vv[0, 0]
-        c_uv = spec.cov_uv[0, 0]
-        eig = population_cca(spec).eigenvalues
-        assert eig[0] == pytest.approx(c_uv**2 / (c_uu * c_vv), abs=1e-14)
 
 
 class TestCanonicalBases:

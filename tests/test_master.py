@@ -9,7 +9,6 @@ from hdcca.errors import (
     DimensionError,
     PoleProximity,
     RepeatedCosine,
-    RepeatedSingular,
 )
 from hdcca.linalg import CanonicalBasis, sample_cca
 from hdcca.master import (
@@ -20,9 +19,7 @@ from hdcca.master import (
     empirical_G,
     master_residual,
     master_roots,
-    master_vector_coeffs,
     master_vector_stats,
-    pca_master,
     q_factors,
     r2_relation,
     wachter_G,
@@ -317,44 +314,10 @@ class TestVectorStats:
             cy = abs(v_star @ res.right_variables[i]) / np.linalg.norm(v_star)
             assert st.cos_theta_x == pytest.approx(cx, abs=1e-8)
             assert st.cos_theta_y == pytest.approx(cy, abs=1e-8)
-
-    def test_reconstruction_unit_norm_and_correlation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(8):
-            U, V, u_star, v_star, inputs = random_instance(rng, 5, 7, 35)
-            # the gram structure of the table is enough to verify norms
-            lam = master_roots(inputs)
-            for z in lam:
-                alpha, beta = master_vector_coeffs(z, inputs)
-                # norm via the gram structure of (u*, u_i)
-                a0, ai = alpha[0], alpha[1:]
-                norm_sq = (
-                    a0**2 * inputs.uu_star
-                    + 2 * a0 * float(ai @ inputs.u_star_u)
-                    + float(ai @ ai)
-                )
-                assert norm_sq == pytest.approx(1.0, abs=1e-9)
-                b0, bj = beta[0], beta[1:]
-                norm_sq_b = (
-                    b0**2 * inputs.vv_star
-                    + 2 * b0 * float(bj @ inputs.v_star_v)
-                    + float(bj @ bj)
-                )
-                assert norm_sq_b == pytest.approx(1.0, abs=1e-9)
-                assert b0 * b0 == pytest.approx(
-                    master_vector_stats(z, inputs).beta0_sq, abs=1e-9
-                )
-                # the cross scalar product recovers the correlation: assemble
-                # <x_hat, y_hat> from the table
-                cpad = inputs.cosines
-                km1 = inputs.K - 1
-                cross = (
-                    a0 * b0 * inputs.uv_star
-                    + a0 * float(bj @ inputs.u_star_v)
-                    + b0 * float(ai @ inputs.v_star_u)
-                    + float((ai * cpad[:km1]) @ bj[:km1])
-                )
-                assert cross**2 == pytest.approx(z, abs=1e-8)
+            # row 0 of U and V holds the unit-norm adjoined vector, so its
+            # squared weight is the signal loading
+            assert st.alpha0_sq == pytest.approx(res.left_weights[i][0] ** 2, abs=1e-8)
+            assert st.beta0_sq == pytest.approx(res.right_weights[i][0] ** 2, abs=1e-8)
 
     def test_isolated_signal_direction(self):
         # u* orthogonal to the u-basis with all cross products zero: the
@@ -386,43 +349,6 @@ class TestVectorStats:
         )
         with pytest.raises(DegenerateQ, match="denominator vanishes at z=0.3"):
             master_vector_stats(0.3, inputs)
-
-
-class TestPcaMaster:
-    def test_zero_overlaps(self):
-        roots, a0 = pca_master(1.7, np.array([1.2, 0.8, 0.3]), np.zeros(3))
-        assert roots.shape == (4,)
-        assert np.min(np.abs(roots - 1.7**2)) < 1e-12
-        i = int(np.argmin(np.abs(roots - 1.7**2)))
-        assert a0[i] == pytest.approx(1.0)
-        assert np.allclose(np.delete(a0, i), 0.0)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_svd(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        U = rng.standard_normal((5, 30))
-        lam_star = np.linalg.norm(U[0])
-        u_star = U[0] / lam_star
-        _, sing, vt = np.linalg.svd(U[1:], full_matrices=False)
-        roots, a0 = pca_master(lam_star, sing, vt @ u_star)
-        truth = np.sort(np.linalg.svd(U, compute_uv=False) ** 2)[::-1]
-        assert np.max(np.abs(roots - truth)) < 1e-9
-        left, _, _ = np.linalg.svd(U, full_matrices=False)
-        assert np.max(np.abs(np.sort(a0) - np.sort(left[0] ** 2))) < 1e-8
-
-    def test_large_signal_regime(self):
-        rng = np.random.default_rng(10)
-        sing = np.sort(rng.uniform(0.5, 2.0, 6))[::-1]
-        overlaps = rng.uniform(-0.3, 0.3, 6)
-        lam_star = 50.0
-        roots, a0 = pca_master(lam_star, sing, overlaps)
-        assert abs(roots[0] - lam_star**2) < np.sum(sing**2 * overlaps**2) + 1.0
-        assert a0[0] > 0.99
-
-    def test_repeated_singular_warns(self):
-        with pytest.warns(RepeatedSingular):
-            roots, _ = pca_master(1.5, np.array([1.0, 1.0, 0.5]), np.array([0.3, 0.2, 0.1]))
-        assert np.min(np.abs(roots - 1.0)) < 1e-12
 
 
 class TestEmpiricalG:

@@ -14,7 +14,6 @@ from hdcca.simulate import (
     sample_r_sq,
     seeded_rng,
     sinusoid_pair,
-    wick_check,
 )
 from hdcca.wachter import regime_from_dims, spike_prediction, theta_degrees, wachter_cdf
 
@@ -198,26 +197,6 @@ class TestSeededRng:
         b = seeded_rng(0, 1).standard_normal(S)
         corr = abs(np.corrcoef(a, b)[0, 1])
         assert corr < 3.0 / np.sqrt(S)
-
-
-class TestWickCheck:
-    def test_gaussian_satisfies_pairing(self):
-        rep = wick_check(seeded_rng(0).standard_normal((1_000_000, 2)))
-        assert rep.max_deviation < 0.02
-        assert rep.converged
-
-    def test_uniform_population_deviation(self):
-        rep = wick_check(seeded_rng(1).uniform(-1.0, 1.0, (1_000_000, 1)))
-        assert rep.max_deviation == pytest.approx(2.0 / 15.0, abs=0.01)
-        assert rep.converged
-
-    def test_heavy_tails_flagged(self):
-        rep = wick_check(seeded_rng(2).standard_t(3, (400_000, 1)))
-        assert not rep.converged
-
-    def test_too_few_draws(self):
-        with pytest.raises(SpecError):
-            wick_check(np.ones((4, 2)))
 
 
 class TestMcAngles:
