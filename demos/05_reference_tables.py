@@ -44,18 +44,14 @@ print("=== limestone grassland: K=6, M=8, S=45 ===")
 lam = np.array([0.83, 0.52, 0.36, 0.11, 0.09, 0.04])
 regime = regime_from_dims(6, 8, 45)
 print(f"bulk edge lambda_+ = {regime.lambda_plus:.4f}")
-import warnings
-
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # the gap gate flags the tiny sample size
-    spikes = detect_spikes(lam, regime)
+spikes = detect_spikes(lam, regime)
 print(f"correlations above the edge: {[float(lam[i]) for i in spikes]}")
 s = estimate_spike_closed_form(lam[0], regime)
 print(
     f"closed form:     rho^2 = {s.rho_sq_hat:.2f}, |rho| = {s.rho_abs:.2f}, "
     f"theta_x = {s.theta_x_deg:.2f}d, theta_y = {s.theta_y_deg:.2f}d"
 )
-e = estimate_spike_empirical(lam, 1, 6, 8, 45, enforce_gate=False)
+e = estimate_spike_empirical(lam, regime)
 print(
     f"spectrum reuse:  rho^2 = {e.rho_sq_hat:.2f}, |rho| = {e.rho_abs:.2f}, "
     f"theta_x = {e.theta_x_deg:.2f}d, theta_y = {e.theta_y_deg:.2f}d"

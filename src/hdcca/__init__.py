@@ -12,8 +12,6 @@ from .errors import (
     DegenerateQ,
     DenominatorVanishes,
     DimensionError,
-    GateFailed,
-    GateWarning,
     HdccaError,
     MissingValue,
     OnSupport,
@@ -45,8 +43,6 @@ from .linalg import (
 from .master import (
     MasterInputs,
     StieltjesEval,
-    asymptotic_cos2,
-    asymptotic_r2,
     empirical_G,
     master_residual,
     master_roots,

@@ -109,7 +109,6 @@ def cmd_analyze(args) -> int:
         demean=False,  # already applied at load time
         gate_multiplier=args.gate_multiplier,
         bins=args.bins,
-        empirical=True,
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="remove per-variable means across samples (default on)",
     )
-    pa.add_argument("--gate-multiplier", type=hio.positive_float, default=5.0)
+    pa.add_argument("--gate-multiplier", type=hio.positive_float, default=5.0,
+                    help="a spike whose gap to the next correlation (or to the "
+                    "bulk edge) is below this over sqrt(S) is flagged in the "
+                    "gate column, in gate_passed and in the notes, never removed")
     pa.add_argument("--bins", type=hio.positive_int, default=None)
     pa.add_argument("--out-dir", default=".")
     pa.add_argument("--format", choices=["csv", "json", "both"], default="both")
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--empirical-rows",
         action="store_true",
-        help="append empirical-route rows to the spike table",
+        help="append the empirical-route rows (method empirical-G) to "
+        "spikes.csv; report.json carries them either way",
     )
     pa.set_defaults(func=cmd_analyze)
 

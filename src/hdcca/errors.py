@@ -41,10 +41,6 @@ class DenominatorVanishes(HdccaError):
     """A closed-form relation cannot be evaluated because its denominator vanishes."""
 
 
-class GateFailed(HdccaError):
-    """The eigenvalue gap is too small for the empirical estimator to be trusted."""
-
-
 class SpecError(HdccaError):
     """A simulation specification is invalid."""
 
@@ -71,10 +67,6 @@ class ShapeMismatch(HdccaError):
 
 class RepeatedCosine(UserWarning):
     """Two noise canonical cosines coincide; the degenerate root is reported directly."""
-
-
-class GateWarning(UserWarning):
-    """A correlation sits above the bulk edge but fails the eigenvalue-gap gate."""
 
 
 class RegimeWarning(UserWarning):

@@ -10,33 +10,24 @@ variables.  Two routes are provided per spike and cross-check each other:
 * ``empirical-G``: reuse the rest of the observed spectrum as a resolvent
   sum, avoiding any distributional assumption on the noise.
 
-The eigenvalue-gap gate (gap >= gate_multiplier / sqrt(S)) marks spikes whose
-empirical-route estimates should be trusted; spikes above the edge that fail
-it are still reported, flagged ``gate_passed=False``.
+One walk down the correlations (``_walk_spikes``) decides which are spikes,
+each spike's gap (to the next correlation, or to the bulk edge for the last
+one) and its eigenvalue-gap gate (gap >= gate_multiplier / sqrt(S)), which
+marks spikes whose empirical-route estimates should be trusted.  Both
+estimators take that gap and gate as given.  A spike that fails the gate is
+still reported, flagged ``gate_passed=False`` and named in a note.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import master, wachter
-from .errors import (
-    DimensionError,
-    GateFailed,
-    GateWarning,
-    HdccaError,
-    PoleProximity,
-)
-from .linalg import (
-    CcaResult,
-    _factor,
-    _panels,
-    _regime_note,
-)
+from .errors import DimensionError, HdccaError, PoleProximity
+from .linalg import _factor, _panels, _regime_note
 
 _TIE_TOL = 1e-10
 OVERLAY_POINTS = 512
@@ -56,7 +47,7 @@ class SpikeReport:
     sin2_y: float
     method: str           # "closed-form" | "empirical-G"
     gate_passed: bool
-    gap: float            # lam - next observed correlation
+    gap: float            # lam minus the next correlation (the bulk edge for the last)
 
 
 @dataclass
@@ -83,34 +74,23 @@ class AnalysisReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _gap(correlations, i, regime=None):
-    """Gap below correlation i; the bulk edge serves for the last one."""
-    if i + 1 < correlations.shape[0]:
-        return float(correlations[i] - correlations[i + 1])
-    if regime is not None:
-        return float(max(correlations[i] - regime.lambda_plus, 0.0))
-    return float("nan")
-
-
-def _gate(gate_multiplier, S):
-    """Smallest eigenvalue gap the empirical route trusts."""
-    return gate_multiplier / math.sqrt(S)
-
-
 def _walk_spikes(lam, regime, gate_multiplier):
     """The maximal prefix of correlations above the edge, gated.
 
     Returns ``(index, gap, gate_passed)`` per spike (0-based index) and one
-    text per spike that fails the gate.
+    text per spike that fails the gate ``gap >= gate_multiplier / sqrt(S)``.
+    The gap is measured to the next correlation, or to the bulk edge for the
+    last one.
     """
     if regime.S is None:
         raise DimensionError("spike detection needs a finite-dimension regime")
-    gate = _gate(gate_multiplier, regime.S)
+    gate = gate_multiplier / math.sqrt(regime.S)
     spikes, failures = [], []
     for i in range(lam.shape[0]):
         if lam[i] <= regime.lambda_plus:
             break
-        gap = _gap(lam, i, regime)
+        below = lam[i + 1] if i + 1 < lam.shape[0] else regime.lambda_plus
+        gap = float(lam[i] - below)
         gate_passed = gap >= gate
         spikes.append((i, gap, gate_passed))
         if not gate_passed:
@@ -122,25 +102,13 @@ def _walk_spikes(lam, regime, gate_multiplier):
     return spikes, failures
 
 
-def detect_spikes(
-    result: CcaResult | np.ndarray,
-    regime: wachter.AsymptoticRegime,
-    gate_multiplier: float = 5.0,
-) -> list[int]:
+def detect_spikes(correlations, regime: wachter.AsymptoticRegime) -> list[int]:
     """Indices (0-based) of the maximal prefix of correlations above the edge.
 
-    Membership is the edge test ``lam > lambda_plus``.  The eigenvalue-gap
-    gate is evaluated per spike and reported through warnings here and
-    ``gate_passed`` in the reports; it does not remove a spike, since the
-    closed-form route stays usable for any outlier above the edge.
+    Membership is the edge test ``lam > lambda_plus`` alone; the gate marks a
+    spike in ``analyze``'s reports but never removes one.
     """
-    lam = np.asarray(
-        result.correlations_sq if isinstance(result, CcaResult) else result,
-        dtype=float,
-    )
-    spikes, failures = _walk_spikes(lam, regime, gate_multiplier)
-    for text in failures:
-        warnings.warn(text, GateWarning, stacklevel=2)
+    spikes, _ = _walk_spikes(np.asarray(correlations, dtype=float), regime, 0.0)
     return [i for i, _, _ in spikes]
 
 
@@ -184,47 +152,36 @@ def estimate_spike_closed_form(
 
 def estimate_spike_empirical(
     correlations,
-    q: int,
-    K: int,
-    M: int,
-    S: int,
+    regime: wachter.AsymptoticRegime,
     *,
-    gate_multiplier: float = 5.0,
-    enforce_gate: bool = True,
+    index: int = 1,
+    gap: float = float("nan"),
+    gate_passed: bool = True,
 ) -> SpikeReport:
     """Strength and angles reusing the observed spectrum as the resolvent.
 
-    ``q`` is the 1-based spike rank; the resolvent sum runs over the
-    correlations below rank q.  Raises GateFailed when the eigenvalue gap is
-    below ``gate_multiplier / sqrt(S)`` (disable with ``enforce_gate=False``;
-    the gate is a safety heuristic, not a hard applicability bound).
+    ``index`` is the 1-based spike rank; the resolvent sum runs over the
+    correlations below it, so the last correlation has none and raises
+    PoleProximity.  ``gap`` and ``gate_passed`` are carried into the report.
     """
     lam = np.asarray(correlations, dtype=float)
-    if not 1 <= q <= lam.shape[0]:
-        raise ValueError(f"spike rank {q} out of range")
-    lam_q = float(lam[q - 1])
-    gap = _gap(lam, q - 1)
-    gate = _gate(gate_multiplier, S)
-    gate_passed = bool(gap >= gate) if not math.isnan(gap) else True
-    if enforce_gate and not gate_passed:
-        raise GateFailed(
-            f"gap {gap:.5f} below gate {gate:.5f} at spike {q}; "
-            "pass enforce_gate=False to override"
-        )
-    swapped = K > M
-    kk, mm = (M, K) if swapped else (K, M)
-    G = master.empirical_G(lam_q, lam, S, mode="shifted", shift=q + 1)
-    rho_sq = master.asymptotic_r2(lam_q, G, kk, mm, S)
-    rho_sq = min(rho_sq, 1.0)
+    if not 1 <= index <= lam.shape[0]:
+        raise ValueError(f"spike rank {index} out of range")
+    if regime.S is None:
+        raise DimensionError("the empirical route needs a finite-dimension regime")
+    k_ratio, m_ratio = regime.K / regime.S, regime.M / regime.S
+    lam_q = float(lam[index - 1])
+    G = master.empirical_G(lam_q, lam[index:], regime.S)
+    rho_sq = min(master.r2_relation(lam_q, G.value, k_ratio, m_ratio), 1.0)
     if rho_sq <= 0.0:
         raise PoleProximity(
             f"empirical strength estimate {rho_sq:.4f} is not positive"
         )
-    ev = master.asymptotic_cos2(lam_q, G, rho_sq, kk, mm, S)
+    ev = master.cos2_relation(lam_q, G.value, G.derivative, rho_sq, k_ratio, m_ratio)
     s_x = min(max(1.0 - ev.cos2_x, 0.0), 1.0)
     s_y = min(max(1.0 - ev.cos2_y, 0.0), 1.0)
     return _spike_report(
-        q, lam_q, rho_sq, s_x, s_y, swapped=swapped,
+        index, lam_q, rho_sq, s_x, s_y, swapped=regime.swapped,
         method="empirical-G", gate_passed=gate_passed, gap=gap,
     )
 
@@ -247,7 +204,6 @@ def analyze(
     demean: bool = False,
     gate_multiplier: float = 5.0,
     bins: int | None = None,
-    empirical: bool = True,
 ) -> AnalysisReport:
     """Full pipeline: CCA, spike detection, both estimators, histogram.
 
@@ -260,12 +216,12 @@ def analyze(
     U, V = _panels(U, V, demean)
     return _analyze_correlations(
         _factor(U, V, 0)[0], U.shape[0], V.shape[0], U.shape[1],
-        gate_multiplier=gate_multiplier, bins=bins, empirical=empirical,
+        gate_multiplier=gate_multiplier, bins=bins,
     )
 
 
 def _analyze_correlations(
-    lam, K, M, S, *, gate_multiplier=5.0, bins=None, empirical=True
+    lam, K, M, S, *, gate_multiplier=5.0, bins=None
 ) -> AnalysisReport:
     """``analyze`` from the squared correlations ``lam`` of K x S and M x S panels."""
     notes: list[str] = []
@@ -304,23 +260,14 @@ def _analyze_correlations(
                 )
             except HdccaError as exc:
                 notes.append(f"closed-form estimate failed at spike {i + 1}: {exc}")
-            if empirical:
-                try:
-                    empirical_spikes.append(
-                        estimate_spike_empirical(
-                            lam,
-                            i + 1,
-                            K,
-                            M,
-                            S,
-                            gate_multiplier=gate_multiplier,
-                            enforce_gate=False,
-                        )
+            try:
+                empirical_spikes.append(
+                    estimate_spike_empirical(
+                        lam, regime, index=i + 1, gap=gap, gate_passed=gate_passed
                     )
-                except HdccaError as exc:
-                    notes.append(
-                        f"empirical estimate failed at spike {i + 1}: {exc}"
-                    )
+                )
+            except HdccaError as exc:
+                notes.append(f"empirical estimate failed at spike {i + 1}: {exc}")
 
     bulk = lam[n_spikes:]
     if bulk.size == 0:

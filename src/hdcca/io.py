@@ -56,10 +56,6 @@ class DataMatrix:
     demeaned: bool = False
 
     @property
-    def n_variables(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_samples(self) -> int:
         return self.values.shape[1]
 

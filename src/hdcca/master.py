@@ -11,10 +11,10 @@ without ever observing the true signal.
 
 The module also carries the large-dimension limits of the equations, where the
 scalar-product table collapses to a resolvent-type sum ``G`` over the noise
-correlations (``empirical_G``, ``asymptotic_r2``, ``asymptotic_cos2``).  With
-``G`` replaced by the closed-form bulk transform the limits reduce to the
-formulas in :mod:`hdcca.wachter`; that reduction is an identity and is tested
-as one.
+correlations (``empirical_G``), and the strength and the cosines follow from
+``G`` by ``r2_relation`` and ``cos2_relation``.  With ``G`` replaced by the
+closed-form bulk transform (``wachter_G``) the limits reduce to the formulas
+in :mod:`hdcca.wachter`; that reduction is an identity and is tested as one.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .linalg import CanonicalBasis, canonical_bases
 
 _DUP_TOL = 1e-12
 _POLE_TOL = 1e-9    # relative distance below which z counts as on a pole
+_RESOLVENT_POLE_TOL = 1e-6  # distance below which empirical_G's z is on a value
 _MAX_MESH = 4096    # finest scan mesh per pole interval
 
 
@@ -520,57 +521,35 @@ def master_vector_stats(z: float, inputs: MasterInputs) -> VectorStats:
 class StieltjesEval:
     """A resolvent-type value G(z) with its analytic derivative."""
 
-    z: float
     value: float
     derivative: float
-    source: str = "empirical-c"
 
 
-def empirical_G(
-    z: float,
-    values_sq,
-    S: int,
-    mode: str = "direct",
-    shift: int = 2,
-    *,
-    pole_tol: float = 1e-6,
-) -> StieltjesEval:
+def empirical_G(z: float, values_sq, S: int) -> StieltjesEval:
     """Resolvent sum ``(1/S) sum 1/(z - value)`` over squared correlations.
 
-    ``mode="direct"`` sums over all supplied values (noise cosines squared).
-    ``mode="shifted"`` implements the reuse of the observed spectrum: the
-    supplied values are the full correlation list and the sum starts at the
-    1-based index ``shift``, dropping the leading spike(s).
+    Over noise cosines squared this is the finite-size G.  Over the observed
+    correlations below a spike at rank q (``lam[q:]``) it reuses the observed
+    spectrum.
     """
     vals = np.asarray(values_sq, dtype=float).ravel()
-    if mode == "shifted":
-        if shift < 1:
-            raise ValueError("shift is 1-based and must be >= 1")
-        vals = vals[shift - 1:]
-        source = "empirical-lambda-shifted"
-    elif mode == "direct":
-        source = "empirical-c"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     if vals.size == 0:
         raise PoleProximity("empty resolvent sum: no values remain below the spike")
-    if np.min(np.abs(z - vals)) <= pole_tol:
+    if np.min(np.abs(z - vals)) <= _RESOLVENT_POLE_TOL:
         raise PoleProximity(
-            f"z={z} is within {pole_tol} of an observed correlation"
+            f"z={z} is within {_RESOLVENT_POLE_TOL} of an observed correlation"
         )
     diff = z - vals
     value = float(np.sum(1.0 / diff)) / S
     derivative = -float(np.sum(1.0 / diff**2)) / S
-    return StieltjesEval(z=float(z), value=value, derivative=derivative, source=source)
+    return StieltjesEval(value=value, derivative=derivative)
 
 
 def wachter_G(z: float, regime: wachter.AsymptoticRegime) -> StieltjesEval:
     """Closed-form bulk transform packaged as a StieltjesEval."""
     return StieltjesEval(
-        z=float(z),
         value=wachter.wachter_stieltjes(z, regime),
         derivative=wachter.wachter_stieltjes_deriv(z, regime),
-        source="wachter-closed-form",
     )
 
 
@@ -644,15 +623,3 @@ def cos2_relation(
         front_x=front_x,
         front_y=front_y,
     )
-
-
-def asymptotic_r2(lam: float, G: StieltjesEval, K: int, M: int, S: int) -> float:
-    """Signal strength from an outlier and an empirical (or closed-form) G."""
-    return r2_relation(lam, G.value, K / S, M / S)
-
-
-def asymptotic_cos2(
-    lam: float, G: StieltjesEval, r_sq: float, K: int, M: int, S: int
-) -> Cos2Eval:
-    """Estimation-precision cosines from an outlier, G, and the strength."""
-    return cos2_relation(lam, G.value, G.derivative, r_sq, K / S, M / S)

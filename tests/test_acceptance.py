@@ -343,7 +343,7 @@ def test_c10_multi_signal_ordering():
     for rep in range(reps):
         spec = SimSpec(signal_strengths=(0.95, 0.75, 0.7), seed=100 + rep, **DESK)
         U, V, _ = gen_data(spec)
-        report = analyze(U, V, empirical=False)
+        report = analyze(U, V)
         counts.append(len(report.spikes))
         rho[rep] = [s.rho_sq_hat for s in report.spikes[:3]]
         theta[rep] = [s.theta_x_deg for s in report.spikes[:3]]
@@ -385,9 +385,7 @@ def test_c12_route_agreement(desk_mc):
     for rep in range(desk_mc.replications):
         lam = desk_mc.lambdas[rep]
         closed = rho2_from_z(float(lam[0]), DESK_REGIME)
-        emp = estimate_spike_empirical(
-            lam, 1, DESK["K"], DESK["M"], DESK["S"], enforce_gate=False
-        ).rho_sq_hat
+        emp = estimate_spike_empirical(lam, DESK_REGIME).rho_sq_hat
         diffs.append(abs(closed - emp))
     mean_diff = float(np.mean(diffs))
     _verdict(12, "route agreement", mean_diff < 0.02, f"mean |diff| {mean_diff:.5f}")

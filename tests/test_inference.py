@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from hdcca import linalg
-from hdcca.errors import (
-    DimensionError,
-    GateFailed,
-    GateWarning,
-    PoleProximity,
-    RankDeficient,
-)
+from hdcca.errors import DimensionError, PoleProximity, RankDeficient
 from hdcca.inference import (
+    _walk_spikes,
     analyze,
     detect_spikes,
     estimate_spike_closed_form,
     estimate_spike_empirical,
 )
 from hdcca.simulate import SimSpec, gen_data, seeded_rng
-from hdcca.wachter import regime_from_dims, rho2_from_z, z_from_rho2
+from hdcca.wachter import (
+    regime_from_dims,
+    regime_from_ratios,
+    rho2_from_z,
+    z_from_rho2,
+)
 
 def _mixed(rng, X, cond):
     """X mixed by ``Q diag(d) Q^T`` with a random orthogonal Q, which raises
@@ -45,17 +45,31 @@ LIMESTONE_REGIME = regime_from_dims(6, 8, 45)
 STOCKS_REGIME = regime_from_dims(80, 80, 521)
 
 
-def _limestone_panels():
-    """6 x 45 and 8 x 45 panels whose squared correlations are exactly
-    LIMESTONE_LAMBDAS; the one spike fails the gate."""
-    U = np.zeros((6, 45))
-    V = np.zeros((8, 45))
-    for i, lam in enumerate(LIMESTONE_LAMBDAS):
+def _exact_panels(lambdas, M, S):
+    """K x S and M x S panels, K = len(lambdas), whose squared correlations
+    are exactly ``lambdas``; the last M - K rows of V are noise."""
+    K = len(lambdas)
+    U = np.zeros((K, S))
+    V = np.zeros((M, S))
+    for i, lam in enumerate(lambdas):
         U[i, i] = 1.0
         V[i, i] = np.sqrt(lam)
-        V[i, 6 + i] = np.sqrt(1.0 - lam)
-    V[6, 12] = V[7, 13] = 1.0
+        V[i, K + i] = np.sqrt(1.0 - lam)
+    for j in range(K, M):
+        V[j, K + j] = 1.0
     return U, V
+
+
+def _limestone_panels():
+    """Panels whose squared correlations are LIMESTONE_LAMBDAS; the one spike
+    fails the gate."""
+    return _exact_panels(LIMESTONE_LAMBDAS, 8, 45)
+
+
+def _all_spikes_panels():
+    """Panels whose squared correlations are 0.9 and 0.5, both above the
+    edge (~0.23)."""
+    return _exact_panels((0.9, 0.5), 3, 40)
 
 
 class TestDetectSpikes:
@@ -64,24 +78,13 @@ class TestDetectSpikes:
         assert detect_spikes(lam, LIMESTONE_REGIME) == []
 
     def test_limestone_single_spike(self):
-        with pytest.warns(GateWarning):
-            idx = detect_spikes(LIMESTONE_LAMBDAS, LIMESTONE_REGIME)
-        assert idx == [0]
+        assert detect_spikes(LIMESTONE_LAMBDAS, LIMESTONE_REGIME) == [0]
 
     def test_three_separated_outliers(self):
         lam = np.array([0.89, 0.62, 0.58, 0.50, 0.45, 0.40])
         # stocks-like values: edge ~0.52, S=521 gives gate ~0.22, so gaps of
-        # 0.27/0.04/... leave outliers 2 and 3 flagged but detected
-        with pytest.warns(GateWarning):
-            idx = detect_spikes(lam, STOCKS_REGIME)
-        assert idx == [0, 1, 2]
-
-    def test_gate_multiplier_zero_disables_warnings(self):
-        lam = np.array([0.89, 0.62, 0.58, 0.50])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            idx = detect_spikes(lam, STOCKS_REGIME, gate_multiplier=0.0)
-        assert idx == [0, 1, 2]
+        # 0.27/0.04/... leave outliers 2 and 3 failing the gate but detected
+        assert detect_spikes(lam, STOCKS_REGIME) == [0, 1, 2]
 
 
 class TestClosedForm:
@@ -118,19 +121,19 @@ class TestClosedForm:
 class TestEmpiricalRoute:
     def test_limestone_strength(self):
         rep = estimate_spike_empirical(
-            LIMESTONE_LAMBDAS, 1, 6, 8, 45, enforce_gate=False
+            LIMESTONE_LAMBDAS, LIMESTONE_REGIME, gap=0.31, gate_passed=False
         )
         assert rep.rho_sq_hat == pytest.approx(0.75, abs=0.05)
         assert rep.method == "empirical-G"
-        assert not rep.gate_passed
+        assert (rep.gap, rep.gate_passed) == (0.31, False)
 
-    def test_gate_enforced_by_default(self):
-        with pytest.raises(GateFailed):
-            estimate_spike_empirical(LIMESTONE_LAMBDAS, 1, 6, 8, 45)
+    def test_ratio_only_regime_raises(self):
+        with pytest.raises(DimensionError, match="finite-dimension regime"):
+            estimate_spike_empirical(LIMESTONE_LAMBDAS, regime_from_ratios(8.0, 6.0))
 
     def test_single_correlation_has_no_resolvent(self):
-        with pytest.raises(PoleProximity):
-            estimate_spike_empirical(np.array([0.9]), 1, 1, 3, 45, enforce_gate=False)
+        with pytest.raises(PoleProximity, match="empty resolvent sum"):
+            estimate_spike_empirical(np.array([0.9]), regime_from_dims(1, 3, 45))
 
     def test_matches_closed_form_on_simulation(self):
         spec = SimSpec(K=300, M=450, S=2400, signal_strengths=(0.7,), seed=12)
@@ -138,8 +141,8 @@ class TestEmpiricalRoute:
         from hdcca.linalg import sample_cca
 
         lam = sample_cca(U, V).correlations_sq
-        emp = estimate_spike_empirical(lam, 1, 300, 450, 2400)
         reg = regime_from_dims(300, 450, 2400)
+        emp = estimate_spike_empirical(lam, reg)
         closed = estimate_spike_closed_form(lam[0], reg)
         assert emp.rho_sq_hat == pytest.approx(closed.rho_sq_hat, abs=0.03)
         assert emp.theta_x_deg == pytest.approx(closed.theta_x_deg, abs=1.5)
@@ -160,7 +163,7 @@ class TestEmpiricalRoute:
                 U, V, _ = gen_data(spec)
                 lam = sample_cca(U, V).correlations_sq
                 emp = estimate_spike_empirical(
-                    lam, 1, K, M, S, enforce_gate=False
+                    lam, regime_from_dims(K, M, S)
                 ).rho_sq_hat
                 closed = rho2_from_z(lam[0], regime_from_dims(K, M, S))
                 diffs.append(abs(emp - closed))
@@ -168,6 +171,33 @@ class TestEmpiricalRoute:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("gate_multiplier", [5.0, 2.0])
+    @pytest.mark.parametrize("panels", [_limestone_panels, _all_spikes_panels])
+    def test_reports_carry_the_walks_gap_and_gate(self, panels, gate_multiplier):
+        # the gate fails every spike at 5 and only the later ones at 2
+        report = analyze(*panels(), gate_multiplier=gate_multiplier)
+        walk, _ = _walk_spikes(report.correlations, report.regime, gate_multiplier)
+        expected = {i + 1: (gap, passed) for i, gap, passed in walk}
+        assert [s.index for s in report.spikes] == list(expected)
+        assert len(report.empirical_spikes) >= 1
+        for s in report.spikes + report.empirical_spikes:
+            assert (s.gap, s.gate_passed) == expected[s.index]
+        passed = [p for _, p in expected.values()]
+        assert passed == [gate_multiplier == 2.0] + [False] * (len(passed) - 1)
+
+    def test_last_spike_gap_is_to_the_edge(self):
+        report = analyze(*_all_spikes_panels())
+        lam, edge = report.correlations, report.regime.lambda_plus
+        assert lam[1] > edge
+        assert [s.index for s in report.spikes] == [1, 2]
+        assert [s.index for s in report.empirical_spikes] == [1]
+        assert report.spikes[1].gap == float(lam[1] - edge)
+        assert report.spikes[0].gap == float(lam[0] - lam[1])
+        assert (
+            "empirical estimate failed at spike 2: empty resolvent sum: "
+            "no values remain below the spike"
+        ) in report.notes
+
     def test_noise_only(self):
         spec = SimSpec(K=100, M=150, S=800, seed=13)
         U, V, _ = gen_data(spec)

@@ -13,8 +13,6 @@ from hdcca.errors import (
 from hdcca.linalg import CanonicalBasis, sample_cca
 from hdcca.master import (
     MasterInputs,
-    asymptotic_cos2,
-    asymptotic_r2,
     cos2_relation,
     empirical_G,
     master_residual,
@@ -359,7 +357,7 @@ class TestEmpiricalG:
 
     def test_empty_sum_raises(self):
         with pytest.raises(PoleProximity):
-            empirical_G(0.9, [0.8], S=10, mode="shifted", shift=2)
+            empirical_G(0.9, np.array([0.8])[1:], S=10)
 
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
@@ -379,7 +377,7 @@ class TestEmpiricalG:
             z = 0.95
             d = abs(
                 empirical_G(z, c2, S).value
-                - empirical_G(z, lam, S, mode="shifted", shift=2).value
+                - empirical_G(z, lam[1:], S).value
             )
             discrepancies.append(d)
         assert discrepancies[-1] < discrepancies[0]
@@ -387,7 +385,7 @@ class TestEmpiricalG:
         # derivative sums converge the same way (slower: squared poles)
         d1 = abs(
             empirical_G(0.95, c2, 1600).derivative
-            - empirical_G(0.95, lam, 1600, mode="shifted", shift=2).derivative
+            - empirical_G(0.95, lam[1:], 1600).derivative
         )
         assert d1 < 5e-2
 
@@ -443,8 +441,8 @@ class TestAsymptoticRelations:
     def test_limestone_strength_via_shifted_sum(self):
         lam = np.array([0.83, 0.52, 0.36, 0.11, 0.09, 0.04])
         K, M, S = 6, 8, 45
-        G = empirical_G(lam[0], lam, S, mode="shifted", shift=2)
-        r2 = asymptotic_r2(lam[0], G, K, M, S)
+        G = empirical_G(lam[0], lam[1:], S)
+        r2 = r2_relation(lam[0], G.value, K / S, M / S)
         assert r2 == pytest.approx(0.75, abs=0.05)
 
     def test_empirical_route_matches_closed_form_on_simulation(self):
@@ -455,13 +453,13 @@ class TestAsymptoticRelations:
         U = np.vstack([x, rng.standard_normal((K - 1, S))])
         V = np.vstack([y, rng.standard_normal((M - 1, S))])
         lam = sample_cca(U, V).correlations_sq
-        G = empirical_G(lam[0], lam, S, mode="shifted", shift=2)
-        r2_emp = asymptotic_r2(lam[0], G, K, M, S)
+        G = empirical_G(lam[0], lam[1:], S)
+        r2_emp = r2_relation(lam[0], G.value, K / S, M / S)
         reg = regime_from_dims(K, M, S)
         from hdcca.wachter import rho2_from_z
 
         assert r2_emp == pytest.approx(rho2_from_z(lam[0], reg), abs=0.03)
-        ev = asymptotic_cos2(lam[0], G, r2_emp, K, M, S)
+        ev = cos2_relation(lam[0], G.value, G.derivative, r2_emp, K / S, M / S)
         s_x, s_y = sin2_angles(r * r, reg)
         assert 1.0 - ev.cos2_x == pytest.approx(s_x, abs=0.02)
         assert 1.0 - ev.cos2_y == pytest.approx(s_y, abs=0.02)

@@ -16,12 +16,12 @@ fixed seeds, so two source trees see the same bytes.  To compare two trees::
     diff -r /tmp/before /tmp/after
 
 The set covers ``analyze`` on plain, swapped, two-spike, gate-failing,
-regime-violating, wide (more rows than samples, with and without de-meaning),
-ill-conditioned (the rank-revealing route), collinear and desk-size
-three-spike panels, panels whose Gram guard is decided by its exact
-eigenvalue test, and rows in other units (one row of a small panel, and
-every row of the desk panels at log-uniform scales); CSV
-ingestion (labels with a header, ``rows-are-samples`` with and without a
+all-spikes (every correlation above the edge), regime-violating, wide (more
+rows than samples, with and without de-meaning), ill-conditioned (the
+rank-revealing route), collinear and desk-size three-spike panels, panels
+whose Gram guard is decided by its exact eigenvalue test, and rows in other
+units (one row of a small panel, and every row of the desk panels at
+log-uniform scales); CSV ingestion (labels with a header, ``rows-are-samples`` with and without a
 header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``,
 labelled panels of several ``load_csv`` chunks, and one exit per input error:
 an empty, ``na``, ``inf`` or non-numeric cell, a non-numeric cell past the
@@ -141,6 +141,8 @@ def make_inputs(inputs):
     U, V = _signal_panels(11, 20, 30, 200, (0.9,))
     U[0] *= 1e6  # raw Gram condition ~1e12
     panels["row_units"] = (U, V)
+    # every correlation above the edge: the last spike's gap is to the edge
+    panels["all_spikes"] = _signal_panels(20, 2, 3, 40, (0.95, 0.9))
     U, V = panels["desk"] = _signal_panels(7, 200, 300, 1600, (0.9, 0.7, 0.5))
     rng = np.random.default_rng(12)  # row scales log-uniform over 1e-3..1e3
     panels["desk_units"] = (U * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1)),
@@ -260,6 +262,7 @@ def runs():
         ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
         ("analyze_guard_fallback", ["analyze", *panel("guard_fallback"), *extra]),
         ("analyze_desk", ["analyze", *panel("desk"), *extra]),
+        ("analyze_all_spikes", ["analyze", *panel("all_spikes"), *extra]),
         ("analyze_wide_demean", ["analyze", *panel("wide"), *extra]),
         ("analyze_json",
          ["analyze", *panel("plain"), "--no-demean", "--format", "json"]),
