@@ -28,12 +28,11 @@ from . import master, wachter
 from .errors import (
     DimensionError,
     HdccaError,
-    MissingValue,
     ParseError,
     ShapeMismatch,
     SpecError,
 )
-from .inference import _analyze_correlations, analyze
+from .inference import GATE_MULTIPLIER, _analyze_correlations, analyze
 from .linalg import pca_spectrum, sample_cca
 from .simulate import _angles, gen_data, mc_angles, seeded_rng, theory
 
@@ -42,7 +41,7 @@ EXIT_INPUT = 2
 EXIT_REGIME = 3
 EXIT_NUMERICAL = 4
 
-_INPUT_ERRORS = (ParseError, MissingValue, ShapeMismatch, SpecError, OSError)
+_INPUT_ERRORS = (ParseError, ShapeMismatch, SpecError, OSError)
 
 # squared strengths spanning both sides of typical detection cutoffs
 _RHO_GRID = tuple(np.linspace(0.05, 0.95, 25).tolist())
@@ -63,22 +62,21 @@ PRESETS = {
 THEORY_PRESETS = {"fig2": (1000, 1500, 8000)}
 
 
-def _print_spike_table(report, file=None):
-    file = file if file is not None else sys.stdout
+def _print_spike_table(report):
     if report.regime is None:
         print("no spike detection: the bulk edge is undefined outside the "
-              "dimension regime", file=file)
+              "dimension regime")
         return
     if not report.spikes:
         print(f"no correlations above the bulk edge "
-              f"({report.regime.lambda_plus:.4f})", file=file)
+              f"({report.regime.lambda_plus:.4f})")
         return
     same_sides = report.regime.K == report.regime.M
     header = ["signal", "lambda", "rho_sq", "|rho|"]
     header += ["angle"] if same_sides else ["theta_x", "theta_y"]
     header += ["sin2"] if same_sides else ["sin2_x", "sin2_y"]
     header += ["gate"]
-    print("  ".join(f"{h:>8}" for h in header), file=file)
+    print("  ".join(f"{h:>8}" for h in header))
     for s in report.spikes:
         row = [f"{s.index:>8}", f"{s.lam:8.2f}", f"{s.rho_sq_hat:8.2f}",
                f"{s.rho_abs:8.2f}"]
@@ -88,7 +86,7 @@ def _print_spike_table(report, file=None):
             row += [f"{s.theta_x_deg:8.2f}", f"{s.theta_y_deg:8.2f}",
                     f"{s.sin2_x:8.2f}", f"{s.sin2_y:8.2f}"]
         row += ["      ok" if s.gate_passed else "  gapped"]
-        print("  ".join(row), file=file)
+        print("  ".join(row))
 
 
 def _write_tables(out, report, spikes):
@@ -103,13 +101,7 @@ def cmd_analyze(args) -> int:
     u = hio.load_csv(args.u_csv, orientation=args.orientation, demean=args.demean)
     v = hio.load_csv(args.v_csv, orientation=args.orientation, demean=args.demean)
     hio.check_joint_samples(u, v)
-    report = analyze(
-        u.values,
-        v.values,
-        demean=False,  # already applied at load time
-        gate_multiplier=args.gate_multiplier,
-        bins=args.bins,
-    )
+    report = analyze(u.values, v.values, gate_multiplier=args.gate_multiplier, bins=args.bins)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("csv", "both"):
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("v_csv")
     pa.add_argument(
         "--orientation",
-        choices=["rows-are-variables", "rows-are-samples"],
+        choices=hio.ORIENTATIONS,
         default="rows-are-variables",
     )
     pa.add_argument(
@@ -354,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="remove per-variable means across samples (default on)",
     )
-    pa.add_argument("--gate-multiplier", type=hio.positive_float, default=5.0,
+    pa.add_argument("--gate-multiplier", type=hio.positive_float,
+                    default=GATE_MULTIPLIER,
                     help="a spike whose gap to the next correlation (or to the "
                     "bulk edge) is below this over sqrt(S) is flagged in the "
                     "gate column, in gate_passed and in the notes, never removed")
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("csv")
     pp.add_argument(
         "--orientation",
-        choices=["rows-are-variables", "rows-are-samples"],
+        choices=hio.ORIENTATIONS,
         default="rows-are-variables",
     )
     pp.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)

@@ -30,6 +30,8 @@ from .errors import DimensionError, HdccaError, PoleProximity
 from .linalg import _factor, _panels, _regime_note
 
 _TIE_TOL = 1e-10
+# a spike's gap must be at least this over sqrt(S) to pass the gate
+GATE_MULTIPLIER = 5.0
 OVERLAY_POINTS = 512
 
 
@@ -55,10 +57,6 @@ class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     density: np.ndarray   # bulk density at the bin midpoints (zeros without a regime)
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
 @dataclass
@@ -201,19 +199,19 @@ def analyze(
     U,
     V,
     *,
-    demean: bool = False,
-    gate_multiplier: float = 5.0,
+    gate_multiplier: float = GATE_MULTIPLIER,
     bins: int | None = None,
 ) -> AnalysisReport:
     """Full pipeline: CCA, spike detection, both estimators, histogram.
 
-    Dimension-regime violations, gate failures and per-spike estimation
-    failures become notes on the report instead of exceptions or warnings;
-    so does the rank deficiency of a panel with at least as many rows as
-    samples.  Raises DimensionError for an empty panel, ValueError for a
-    non-finite entry and RankDeficient for collinear rows otherwise.
+    The panels are taken as given: de-mean them first, as ``io.load_csv``
+    does.  Dimension-regime violations, gate failures and per-spike
+    estimation failures become notes on the report instead of exceptions or
+    warnings; so does the rank deficiency of a panel with at least as many
+    rows as samples.  Raises DimensionError for an empty panel, ValueError
+    for a non-finite entry and RankDeficient for collinear rows otherwise.
     """
-    U, V = _panels(U, V, demean)
+    U, V = _panels(U, V)
     return _analyze_correlations(
         _factor(U, V, 0)[0], U.shape[0], V.shape[0], U.shape[1],
         gate_multiplier=gate_multiplier, bins=bins,
@@ -221,7 +219,7 @@ def analyze(
 
 
 def _analyze_correlations(
-    lam, K, M, S, *, gate_multiplier=5.0, bins=None
+    lam, K, M, S, *, gate_multiplier=GATE_MULTIPLIER, bins=None
 ) -> AnalysisReport:
     """``analyze`` from the squared correlations ``lam`` of K x S and M x S panels."""
     notes: list[str] = []
@@ -244,7 +242,7 @@ def _analyze_correlations(
     tied = bool(np.any(np.abs(np.diff(lam[:n_spikes])) < _TIE_TOL))
     if tied:
         notes.append(
-            "tied spike correlations (within 1e-10): per-spike estimation "
+            f"tied spike correlations (within {_TIE_TOL:g}): per-spike estimation "
             "needs distinct values and was skipped"
         )
 

@@ -1,9 +1,12 @@
 """CSV ingestion, report serialisation, and flat sim-spec config files.
 
 CSV is the single data interchange format; reports additionally serialise to
-JSON (schema version 1).  Every CSV file is written by ``write_table``, which
-renders floats with 12 significant digits; ``report.json`` writes floats at
-full ``repr`` precision.  Identical inputs produce byte-identical files.
+JSON (schema version 1).  ``load_csv`` skips a label column and a header
+row, and it is the only code that de-means a panel: every library function
+takes its panels as they are given.  Every CSV file is written by
+``write_table``, which renders floats with 12 significant digits;
+``report.json`` writes floats at full ``repr`` precision.  Identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ _FLOATS = (float, np.floating)
 # text read per np.loadtxt call by load_csv: big enough that the per-call cost
 # vanishes, small enough that the text never outweighs the panel
 _CHUNK_BYTES = 1 << 20
+# the panel layouts load_csv reads
+ORIENTATIONS = ("rows-are-variables", "rows-are-samples")
 
 
 def fmt(value) -> str:
@@ -49,11 +54,9 @@ def fmt(value) -> str:
 
 @dataclass
 class DataMatrix:
-    """Variables-by-samples numeric grid with optional row labels."""
+    """Variables-by-samples numeric grid."""
 
     values: np.ndarray
-    row_labels: list[str] | None = None
-    demeaned: bool = False
 
     @property
     def n_samples(self) -> int:
@@ -102,13 +105,13 @@ def _is_header(cells):
 def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True) -> DataMatrix:
     """Read a CSV into a variables-by-samples DataMatrix.
 
-    ``rows-are-variables``: each row is one variable; an optional leading
-    non-numeric column holds variable labels and an optional non-numeric
-    first row is skipped as a header.  ``rows-are-samples``: each row is one
-    observation; an optional header row holds the variable labels.  When
-    ``demean`` is set, each variable's mean across samples is removed, in
-    place.  Empty, non-numeric or non-finite cells, ragged rows and files
-    without a numeric column raise ParseError (MissingValue for empty cells).
+    ``rows-are-variables``: each row is one variable.  ``rows-are-samples``:
+    each row is one observation.  Either way an optional leading non-numeric
+    column (labels) and an optional non-numeric first row (a header) are
+    skipped.  When ``demean`` is set, each variable's mean across samples is
+    removed, in place; no other code de-means a panel.  Empty, non-numeric
+    or non-finite cells, ragged rows and files without a numeric column
+    raise ParseError (MissingValue for empty cells).
 
     The file is read in chunks of about ``_CHUNK_BYTES`` of whole lines, and
     each chunk's numeric block is parsed in one vectorised call into one
@@ -118,7 +121,7 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
     ragged rows) is read again and parsed cell by cell, which also locates
     the first bad cell.
     """
-    if orientation not in ("rows-are-variables", "rows-are-samples"):
+    if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet programs write
@@ -130,26 +133,21 @@ def load_csv(path, orientation: str = "rows-are-variables", demean: bool = True)
                 lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    values, labels, header = parsed or _parse_cells(lines, path)
+    values = parsed if parsed is not None else _parse_cells(lines, path)
 
     if orientation == "rows-are-samples":
         # a C-order copy de-means with the same arithmetic as the other
         # orientation, so the same numbers give the same bits either way
         values = np.ascontiguousarray(values.T)
-        labels = header[-values.shape[0]:] if header else []
     if demean:
         values -= values.mean(axis=1, keepdims=True)
-    return DataMatrix(
-        values=values,
-        row_labels=labels if labels else None,
-        demeaned=demean,
-    )
+    return DataMatrix(values)
 
 
 def _parse_block(fh):
-    """``(values, labels, header)`` from one ``np.loadtxt`` per chunk of the
-    numeric block, each copied into one buffer sized for the whole file, or
-    None when the file needs ``_parse_cells``.
+    """The numeric block from one ``np.loadtxt`` per chunk, each copied into
+    one buffer sized for the whole file, or None when the file needs
+    ``_parse_cells``.
 
     Without quotes a line's cells are its comma-separated fields, which is
     what ``csv.reader`` gives, so header and label detection see the same
@@ -159,8 +157,7 @@ def _parse_block(fh):
     line and the first row's width; ``np.loadtxt`` parses each line on its
     own, so the chunks give the bits one call over the whole file would.
     """
-    header = labeled = width = None
-    labels = []
+    first, labeled, width = True, None, None
     values, rows, read = None, 0, 0
     while lines := fh.readlines(_CHUNK_BYTES):
         read += sum(map(len, lines))
@@ -169,19 +166,16 @@ def _parse_block(fh):
             continue
         if any('"' in line for line in lines):
             return None
-        if header is None and labeled is None:  # the file's first line
-            cells = lines[0].rstrip("\r\n").split(",")
-            if _is_header(cells):
-                header = [c.strip() for c in cells]
+        if first:  # the file's first line
+            first = False
+            if _is_header(lines[0].rstrip("\r\n").split(",")):
                 lines = lines[1:]
                 if not lines:
                     continue
         if labeled is None:
             labeled = _is_label(lines[0].partition(",")[0])
         if labeled:
-            split = [line.partition(",") for line in lines]
-            labels += [head.strip() for head, _, _ in split]
-            lines = [tail for _, _, tail in split]
+            lines = [line.partition(",")[2] for line in lines]
         if not lines[0].rstrip("\r\n"):
             return None  # a label-only row, which np.loadtxt would skip
         if width is None:
@@ -206,7 +200,7 @@ def _parse_block(fh):
     if values is None:
         return None
     values.resize((rows, width), refcheck=False)
-    return values, labels, header
+    return values
 
 
 def _has_cells(line):
@@ -217,27 +211,22 @@ def _has_cells(line):
 
 
 def _parse_cells(lines, path):
-    """``(values, labels, header)`` cell by cell; raises ParseError (or
-    MissingValue) at the first bad cell or row, with its location."""
+    """The numeric block, cell by cell; raises ParseError (or MissingValue)
+    at the first bad cell or row, with its location."""
     rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
     if not rows:
         raise ParseError(f"{path} is empty")
 
-    header = None
     if _is_header(rows[0]):
-        header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
             raise ParseError(f"{path} has a header but no data")
 
     labeled = _is_label(rows[0][0])
-    labels = []
     data = []
     width = None
     for r_idx, row in enumerate(rows, start=1):
         cells = row[1:] if labeled else row
-        if labeled:
-            labels.append(row[0].strip())
         if width is None:
             width = len(cells)
         elif len(cells) != width:
@@ -250,7 +239,7 @@ def _parse_cells(lines, path):
         )
     if width == 0:
         raise ParseError(f"{path} has labels but no numeric columns")
-    return np.asarray(data, dtype=float), labels, header
+    return np.asarray(data, dtype=float)
 
 
 def check_joint_samples(u: DataMatrix, v: DataMatrix) -> None:

@@ -119,9 +119,9 @@ def _regime_note(K: int, M: int, S: int) -> str | None:
     )
 
 
-def _panels(U, V, demean):
-    """Both panels as float arrays with a common sample count, de-meaned if asked;
-    DimensionError for an empty panel, ValueError for a non-finite entry."""
+def _panels(U, V):
+    """Both panels as float arrays with a common sample count; DimensionError
+    for an empty panel, ValueError for a non-finite entry."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     V = np.atleast_2d(np.asarray(V, dtype=float))
     for name, X in (("U", U), ("V", V)):
@@ -134,9 +134,6 @@ def _panels(U, V, demean):
         raise DimensionError(
             f"sample counts differ: U has {U.shape[1]}, V has {V.shape[1]}"
         )
-    if demean:
-        U = U - U.mean(axis=1, keepdims=True)
-        V = V - V.mean(axis=1, keepdims=True)
     return U, V
 
 
@@ -327,16 +324,14 @@ def _basis_rows(X, Q, P, F, A):
     return (P @ A).T @ Q.T
 
 
-def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
+def sample_cca(U, V) -> CcaResult:
     """Sample canonical correlations and variables between two row-data sets.
 
     Parameters
     ----------
     U, V : (K, S) and (M, S) arrays
-        Variables in rows, samples in columns; every entry finite.
-    demean : bool
-        Subtract the per-row mean across samples first.  Off by default;
-        ingestion paths de-mean at load time instead.
+        Variables in rows, samples in columns; every entry finite.  They are
+        taken as given: de-mean them first, as ``io.load_csv`` does.
 
     Returns
     -------
@@ -349,7 +344,7 @@ def sample_cca(U, V, *, demean: bool = False) -> CcaResult:
         correlations), with minimal-norm weights: when its rows span every
         sample direction, all correlations are 1.
     """
-    U, V = _panels(U, V, demean)
+    U, V = _panels(U, V)
     note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
     if note is not None:
         warnings.warn(note, RegimeWarning, stacklevel=2)
@@ -384,12 +379,6 @@ class CanonicalBasis:
     v_basis: np.ndarray
     cosines: np.ndarray
 
-    @property
-    def padded_cosines(self) -> np.ndarray:
-        """Cosines extended with zeros to the dimension of the larger side."""
-        extra = self.v_basis.shape[0] - self.cosines.shape[0]
-        return np.concatenate([self.cosines, np.zeros(extra)])
-
 
 def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
     """Aligned orthonormal bases for the row spaces of two matrices.
@@ -419,11 +408,10 @@ def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
 # PCA spectrum and angles
 # ---------------------------------------------------------------------------
 
-def pca_spectrum(X, demean: bool = False) -> np.ndarray:
-    """Descending eigenvalues of ``X X^T / S`` for an N x S data matrix."""
+def pca_spectrum(X) -> np.ndarray:
+    """Descending eigenvalues of ``X X^T / S`` for an N x S data matrix,
+    taken as given: de-mean it first, as ``io.load_csv`` does."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if demean:
-        X = X - X.mean(axis=1, keepdims=True)
     sigma = np.linalg.svd(X, compute_uv=False)
     eig = np.zeros(X.shape[0])
     eig[: sigma.shape[0]] = sigma**2 / X.shape[1]

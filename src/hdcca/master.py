@@ -112,7 +112,7 @@ class MasterInputs:
         u_star = np.asarray(u_star, dtype=float).ravel()
         v_star = np.asarray(v_star, dtype=float).ravel()
         return cls(
-            cosines=basis.padded_cosines,
+            cosines=basis.cosines,
             uu_star=float(u_star @ u_star),
             vv_star=float(v_star @ v_star),
             uv_star=float(u_star @ v_star),

@@ -305,17 +305,15 @@ def ks_distance(values, cdf) -> float:
     return float(max(upper, lower))
 
 
-def sinusoid_pair(S: int, r: float, freq_x: int = 3, freq_nu: int = 7):
+def sinusoid_pair(S: int, r: float):
     """Deterministic signal pair with exact sample correlation r.
 
-    Discrete sinusoids at distinct integer frequencies are exactly
-    orthogonal with squared norm S/2, so the prescribed combination has
-    realised correlation r with no sampling noise.
+    Discrete sinusoids at the distinct integer frequencies 3 and 7 are
+    exactly orthogonal with squared norm S/2, so the prescribed combination
+    has realised correlation r with no sampling noise.
     """
-    if freq_x == freq_nu:
-        raise SpecError("frequencies must differ")
     t = np.arange(S)
-    x = np.sqrt(2.0) * np.sin(2.0 * np.pi * freq_x * t / S)
-    nu = np.sqrt(2.0) * np.sin(2.0 * np.pi * freq_nu * t / S)
+    x = np.sqrt(2.0) * np.sin(2.0 * np.pi * 3 * t / S)
+    nu = np.sqrt(2.0) * np.sin(2.0 * np.pi * 7 * t / S)
     y = r * x + np.sqrt(1.0 - r * r) * nu
     return x, y

@@ -13,7 +13,8 @@ between estimated and true canonical variables are explicit functions of
 This module holds those scalar formulas: the regime constants, the density /
 CDF / modified Stieltjes transform of the bulk law, the forward map
 ``z_from_rho2``, its monotone closed-form inverse ``rho2_from_z``, and the
-squared-sine angle formulas ``sin2_angles``.
+squared-sine angle formulas ``sin2_angles``.  The transforms take real
+points off the support, at the fixed tolerances below.
 
 Conventions
 -----------
@@ -33,9 +34,10 @@ import numpy as np
 
 from .errors import BelowCutoff, BelowEdge, DimensionError, OnSupport
 
-# Square-root arguments within this distance of 0 are treated as exact zeros
-# (floating-point dust at the bulk edge).
-_EDGE_DUST = 1e-14
+# rho2_from_z takes z above lambda_plus by more than this
+_EDGE_TOL = 1e-12
+# the Stieltjes transforms take z farther than this from the bulk support
+_SUPPORT_TOL = 1e-9
 
 # Gauss-Legendre resolution for bulk-law integrals; the trigonometric
 # substitution removes the edge singularities, so the integrand is analytic.
@@ -153,24 +155,14 @@ def z_from_rho2(rho_sq: float, regime: AsymptoticRegime) -> float:
     )
 
 
-def _edge_sqrt(z: float, regime: AsymptoticRegime) -> float:
-    """sqrt((z - lambda_minus)(z - lambda_plus)) for real z >= lambda_plus."""
-    arg = (z - regime.lambda_minus) * (z - regime.lambda_plus)
-    if arg < 0.0:
-        if arg > -_EDGE_DUST:
-            arg = 0.0
-        else:
-            raise BelowEdge(f"z={z} lies inside the bulk support")
-    return math.sqrt(arg)
-
-
-def rho2_from_z(z: float, regime: AsymptoticRegime, *, edge_tol: float = 1e-12) -> float:
+def rho2_from_z(z: float, regime: AsymptoticRegime) -> float:
     """Closed-form inverse of :func:`z_from_rho2` on the monotone branch.
 
     Out of the two roots of the quadratic hiding in ``z_from_rho2`` this is
     the branch with ``rho_sq >= rho_c_sq``, so no root selection is needed.
+    Raises BelowEdge unless z exceeds ``lambda_plus`` by more than 1e-12.
     """
-    if z <= regime.lambda_plus + edge_tol:
+    if z <= regime.lambda_plus + _EDGE_TOL:
         raise BelowEdge(
             f"z={z} is not above the bulk edge {regime.lambda_plus}"
         )
@@ -179,7 +171,7 @@ def rho2_from_z(z: float, regime: AsymptoticRegime, *, edge_tol: float = 1e-12) 
             raise ValueError(f"z={z} > 1 is not a squared correlation")
         z = 1.0
     p, q = 1.0 / regime.tau_K, 1.0 / regime.tau_M
-    root = _edge_sqrt(z, regime)
+    root = _branch_sqrt(z, regime)
     return (z - q - p + 2.0 * p * q + root) / (2.0 * (1.0 - q) * (1.0 - p))
 
 
@@ -241,8 +233,8 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(_GL_NODES)
 
 
-def _bulk_integral(f, regime: AsymptoticRegime, upper=None):
-    """Integrate ``f(x) * density(x)`` over ``[lambda_minus, upper]``.
+def _bulk_integral(regime: AsymptoticRegime, upper=None):
+    """Integrate the density over ``[lambda_minus, upper]``.
 
     Uses the substitution ``x = mid + half*sin(theta)`` which absorbs the
     square-root edge factors, leaving an analytic integrand for the
@@ -268,8 +260,7 @@ def _bulk_integral(f, regime: AsymptoticRegime, upper=None):
             * (half * np.cos(theta)) ** 2
             / (x * (1.0 - x))
         )
-    vals = base * f(x)
-    return float(0.5 * (hi - lo) * np.dot(w, vals))
+    return float(0.5 * (hi - lo) * np.dot(w, base))
 
 
 def wachter_cdf(x, regime: AsymptoticRegime):
@@ -283,23 +274,14 @@ def wachter_cdf(x, regime: AsymptoticRegime):
         elif xi >= regime.lambda_plus:
             out[i] = 1.0
         else:
-            out[i] = _bulk_integral(lambda t: np.ones_like(t), regime, upper=xi)
+            out[i] = _bulk_integral(regime, upper=xi)
     return float(out[0]) if scalar else out
 
 
-def _branch_sqrt(z, regime: AsymptoticRegime):
-    """sqrt((z-lambda_minus)(z-lambda_plus)) analytic off the support.
-
-    The branch is positive for large positive real z and negative for
-    negative real z; for complex z the principal square roots of the two
-    factors are multiplied, which realises that branch.
-    """
+def _branch_sqrt(z: float, regime: AsymptoticRegime) -> float:
+    """sqrt((z-lambda_minus)(z-lambda_plus)) for real z off the support: the
+    branch analytic off the support, positive above it and negative below."""
     lm, lp = regime.lambda_minus, regime.lambda_plus
-    if np.iscomplexobj(np.asarray(z)) or isinstance(z, complex):
-        return np.sqrt(np.asarray(z, dtype=complex) - lm) * np.sqrt(
-            np.asarray(z, dtype=complex) - lp
-        )
-    z = float(z)
     if z >= lp:
         return math.sqrt(max((z - lm) * (z - lp), 0.0))
     if z <= lm:
@@ -307,59 +289,47 @@ def _branch_sqrt(z, regime: AsymptoticRegime):
     raise OnSupport(f"z={z} lies inside the bulk support [{lm}, {lp}]")
 
 
-def _support_distance(z, regime: AsymptoticRegime) -> float:
-    lm, lp = regime.lambda_minus, regime.lambda_plus
-    zr, zi = np.real(z), np.imag(z)
-    if zr < lm:
-        return math.hypot(lm - zr, zi)
-    if zr > lp:
-        return math.hypot(zr - lp, zi)
-    return abs(zi)
+def _check_off_support(z: float, regime: AsymptoticRegime) -> None:
+    """OnSupport when real z is within ``_SUPPORT_TOL`` of the support."""
+    if max(regime.lambda_minus - z, z - regime.lambda_plus) <= _SUPPORT_TOL:
+        raise OnSupport(f"z={z} is within {_SUPPORT_TOL} of the bulk support")
 
 
-def wachter_stieltjes(z, regime: AsymptoticRegime, *, tol: float = 1e-9):
+def wachter_stieltjes(z: float, regime: AsymptoticRegime) -> float:
     """Modified Stieltjes transform ``(1/tau_K) * int density(x)/(z-x) dx``.
 
-    Closed form, valid for z off the support; real z returns a float.  The
-    point ``z = 1`` (a removable singularity of the closed form) is handled
-    by its analytic limit.
+    Closed form, valid for real z off the support.  The point ``z = 1`` (a
+    removable singularity of the closed form) is handled by its analytic
+    limit.
 
     Raises
     ------
     OnSupport
-        If z is within ``tol`` of the support interval.
+        If z is within 1e-9 of the support interval.
     """
-    if _support_distance(z, regime) <= tol:
-        raise OnSupport(f"z={z} is within {tol} of the bulk support")
+    _check_off_support(z, regime)
     p, q = 1.0 / regime.tau_K, 1.0 / regime.tau_M
-    if np.isscalar(z) and not isinstance(z, complex):
-        z = float(z)
-        if abs(z - 1.0) < 1e-9:
-            return p + p * q / (1.0 - p - q)
-        if abs(z) < 1e-12:
-            raise OnSupport("z=0 is a removable singularity; evaluate nearby instead")
+    z = float(z)
+    if abs(z - 1.0) < 1e-9:
+        return p + p * q / (1.0 - p - q)
+    if abs(z) < 1e-12:
+        raise OnSupport("z=0 is a removable singularity; evaluate nearby instead")
     root = _branch_sqrt(z, regime)
-    val = (q + p - z + root) / (2.0 * z * (z - 1.0)) + p / z
-    if not np.iscomplexobj(np.asarray(val)):
-        return float(val)
-    return complex(val) if np.isscalar(val) else val
+    return (q + p - z + root) / (2.0 * z * (z - 1.0)) + p / z
 
 
-def wachter_stieltjes_deriv(z, regime: AsymptoticRegime, *, tol: float = 1e-9):
-    """Analytic z-derivative of :func:`wachter_stieltjes` (same branch)."""
-    if _support_distance(z, regime) <= tol:
-        raise OnSupport(f"z={z} is within {tol} of the bulk support")
+def wachter_stieltjes_deriv(z: float, regime: AsymptoticRegime) -> float:
+    """Analytic z-derivative of :func:`wachter_stieltjes` (same branch), for
+    real z farther than 1e-9 from the support."""
+    _check_off_support(z, regime)
     lm, lp = regime.lambda_minus, regime.lambda_plus
     p, q = 1.0 / regime.tau_K, 1.0 / regime.tau_M
     root = _branch_sqrt(z, regime)
     num = q + p - z + root
     dnum = -1.0 + (2.0 * z - lm - lp) / (2.0 * root)
-    val = (
+    return (
         dnum / (2.0 * z * (z - 1.0))
         - num / (2.0 * z * z * (z - 1.0))
         - num / (2.0 * z * (z - 1.0) ** 2)
         - p / (z * z)
     )
-    if not np.iscomplexobj(np.asarray(val)):
-        return float(val)
-    return complex(val) if np.isscalar(val) else val

@@ -317,13 +317,6 @@ class TestAnalyze:
         assert rhos[0] > rhos[1]
         assert thetas[0] < thetas[1]
 
-    def test_demean_flag(self):
-        spec = SimSpec(K=30, M=40, S=300, signal_strengths=(0.8,), seed=20)
-        U, V, _ = gen_data(spec)
-        shifted = analyze(U + 7.0, V - 4.0, demean=True)
-        base = analyze(U, V, demean=True)
-        assert shifted.spikes[0].lam == pytest.approx(base.spikes[0].lam, abs=1e-10)
-
     def test_bad_panels_raise_typed_errors(self):
         rng = np.random.default_rng(22)
         U, V = rng.standard_normal((4, 50)), rng.standard_normal((5, 50))
@@ -345,7 +338,7 @@ class TestAnalyze:
         # de-meaned sample space, so every correlation is 1
         rng = np.random.default_rng(4)
         U, V = rng.standard_normal((30, 20)), rng.standard_normal((5, 20))
-        report = analyze(U, V, demean=True)
+        report = analyze(U - U.mean(axis=1, keepdims=True), V - V.mean(axis=1, keepdims=True))
         assert report.regime is None
         assert report.correlations == pytest.approx(np.ones(5), abs=1e-12)
         assert any("M=30 >= S=20" in note for note in report.notes)

@@ -67,22 +67,21 @@ class TestLoadCsv:
         )
         dm = load_csv(p, demean=False)
         assert dm.values.shape == (3, 5)
-        assert dm.row_labels == ["a", "b", "c"]
-        assert np.allclose(dm.values, values)
+        assert np.array_equal(dm.values, values)
 
     def test_plain_numeric(self, tmp_path):
         p = tmp_path / "m.csv"
         write_matrix_csv(p, np.ones((2, 4)))
         dm = load_csv(p, demean=False)
         assert dm.values.shape == (2, 4)
-        assert dm.row_labels is None
+        assert np.array_equal(dm.values, np.ones((2, 4)))
 
     def test_demean(self, tmp_path):
         p = tmp_path / "m.csv"
         rng = np.random.default_rng(0)
         write_matrix_csv(p, rng.normal(5.0, 1.0, (3, 40)))
         dm = load_csv(p, demean=True)
-        assert dm.demeaned
+        assert dm.values.shape == (3, 40)
         assert np.max(np.abs(dm.values.sum(axis=1))) < 1e-10
 
     def test_rows_are_samples(self, tmp_path):
@@ -91,7 +90,7 @@ class TestLoadCsv:
         write_matrix_csv(p, values, header=["x", "y", "z"])
         dm = load_csv(p, orientation="rows-are-samples", demean=False)
         assert dm.values.shape == (3, 4)
-        assert dm.row_labels == ["x", "y", "z"]
+        assert np.array_equal(dm.values, values.T)
 
     def test_byte_order_mark(self, tmp_path):
         # spreadsheet programs start UTF-8 files with a BOM; it is not a label
@@ -99,7 +98,7 @@ class TestLoadCsv:
         p.write_bytes(b"\xef\xbb\xbf1.5,2.5\n3.5,4.5\n")
         expected = np.array([[1.5, 2.5], [3.5, 4.5]])
         dm = load_csv(p, demean=False)
-        assert dm.row_labels is None
+        assert dm.values.shape == (2, 2)
         assert np.array_equal(dm.values, expected)
         dm = load_csv(p, orientation="rows-are-samples", demean=False)
         assert np.array_equal(dm.values, expected.T)
@@ -159,8 +158,8 @@ class TestLoadCsv:
 
 
 def load_outcome(path, orientation="rows-are-variables", *, fast=True):
-    """What ``load_csv`` gives without de-meaning: the values' bytes, shape and
-    labels, or the error's type, location and message.  ``fast=False`` turns
+    """What ``load_csv`` gives without de-meaning: the values' bytes and
+    shape, or the error's type, location and message.  ``fast=False`` turns
     the vectorised parse off, leaving the per-cell loop alone."""
     off = mock.patch.object(hio, "_parse_block", return_value=None)
     with nullcontext() if fast else off:
@@ -168,7 +167,7 @@ def load_outcome(path, orientation="rows-are-variables", *, fast=True):
             dm = load_csv(path, orientation=orientation, demean=False)
         except ParseError as exc:
             return type(exc), exc.row, exc.column, str(exc)
-    return dm.values.tobytes(), dm.values.shape, dm.row_labels
+    return dm.values.tobytes(), dm.values.shape
 
 
 _GOOD_CELLS = st.one_of(
@@ -239,28 +238,23 @@ class TestLoadCsvFastPath:
         ("1,2\r3,4\r", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
         ("a,1,2\nb,3,4,5\n", "rows-are-variables", (ParseError, 2, None)),
         ("a,1,2\nb\n", "rows-are-variables", (ParseError, 2, None)),
-        ("name,s1,s2\na,1,2\nb,3,4\n", "rows-are-variables",
-         ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
-        ("x,y\n1,2\n3,4\n5,6\n", "rows-are-samples",
-         ([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]], ["x", "y"])),
-        (',,\n"x","y"\n1,2\n3,4\n', "rows-are-samples",
-         ([[1.0, 3.0], [2.0, 4.0]], ["x", "y"])),
-        (",,\n1,2\n3,4\n", "rows-are-samples", ([[1.0, 3.0], [2.0, 4.0]], None)),
-        ('"a",1,2\n"b",3,4\n', "rows-are-variables",
-         ([[1.0, 2.0], [3.0, 4.0]], ["a", "b"])),
+        ("name,s1,s2\na,1,2\nb,3,4\n", "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
+        ("x,y\n1,2\n3,4\n5,6\n", "rows-are-samples", [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]),
+        (',,\n"x","y"\n1,2\n3,4\n', "rows-are-samples", [[1.0, 3.0], [2.0, 4.0]]),
+        (",,\n1,2\n3,4\n", "rows-are-samples", [[1.0, 3.0], [2.0, 4.0]]),
+        ('"a",1,2\n"b",3,4\n', "rows-are-variables", [[1.0, 2.0], [3.0, 4.0]]),
     ])
     def test_cases(self, tmp_path, text, orientation, expected):
         p = tmp_path / "m.csv"
         p.write_bytes(text.encode())
         outcome = load_outcome(p, orientation)
         assert outcome == load_outcome(p, orientation, fast=False)
-        if isinstance(expected, tuple) and isinstance(expected[0], type):
+        if isinstance(expected, tuple):
             assert outcome[:3] == expected
             return
-        values, labels = expected if isinstance(expected, tuple) else (expected, None)
         dm = load_csv(p, orientation=orientation, demean=False)
-        assert dm.values.tolist() == values
-        assert dm.row_labels == labels
+        assert dm.values.tolist() == expected
+        assert dm.values.shape == (len(expected), len(expected[0]))
 
     def test_label_only_row_in_later_chunk(self, tmp_path, monkeypatch):
         # the second chunk's numeric block is empty: no np.loadtxt warning
@@ -315,8 +309,8 @@ class TestLoadCsvFastPath:
         write_matrix_csv(p, values, header=["name"] + [f"s{j}" for j in range(30)],
                          labels=list("abcd"))
         dm = load_csv(p, demean=False)
+        assert dm.values.shape == (4, 30)
         assert np.array_equal(dm.values, values)
-        assert dm.row_labels == list("abcd")
 
 
 def panel_text(X, *, header=False, labeled=False, eol="\n"):
@@ -363,8 +357,9 @@ class TestLoadCsvChunks:
         monkeypatch.setattr(hio.np, "loadtxt", counting)
         assert load_outcome(p, orientation) == expected
         assert sum(calls) == 40 and len(calls) >= 5
-        has_labels = labeled if orientation == "rows-are-variables" else header
-        assert (expected[2] is not None) == has_labels
+        # the label column and the header are skipped, not read as numbers
+        values = X if orientation == "rows-are-variables" else X.T
+        assert expected == (values.tobytes(), values.shape)
 
     @pytest.mark.parametrize("edit, expected", [
         (("cell", "abc"), (ParseError, 31, 4)),
@@ -596,6 +591,26 @@ class TestCliAnalyze:
         write_matrix_csv(v_csv, np.ones((2, 5)))
         assert main(["analyze", str(u_csv), str(v_csv)]) == 2
         assert main(["pca", str(u_csv), "--out-dir", str(tmp_path)]) == 2
+
+    def test_demean_at_load_removes_row_means(self, tmp_path):
+        # only load_csv de-means: shifted rows give the correlations of the
+        # unshifted panels, unless --no-demean keeps the shift
+        U, V, _ = gen_data(SimSpec(K=30, M=40, S=300, signal_strengths=(0.8,), seed=20))
+
+        def correlations(name, U, V, *flags):
+            out = tmp_path / name
+            out.mkdir()
+            write_matrix_csv(out / "u.csv", U)
+            write_matrix_csv(out / "v.csv", V)
+            assert main(["analyze", str(out / "u.csv"), str(out / "v.csv"), *flags,
+                         "--format", "json", "--out-dir", str(out)]) == 0
+            return np.array(json.loads((out / "report.json").read_text())["correlations"])
+
+        base = correlations("base", U, V)
+        shifted = correlations("shifted", U + 7.0, V - 4.0)
+        kept = correlations("kept", U + 7.0, V - 4.0, "--no-demean")
+        assert np.max(np.abs(shifted - base)) < 1e-10
+        assert np.max(np.abs(kept - base)) > 1e-10
 
     def test_wide_panel_exit_3_with_or_without_demean(self, tmp_path, capsys):
         # de-meaning cuts a 30 x 20 panel's rank to 19: still a regime

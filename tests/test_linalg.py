@@ -12,6 +12,7 @@ from hdcca.linalg import (
     pca_spectrum,
     sample_cca,
 )
+from hdcca.master import MasterInputs
 from hdcca.simulate import SimSpec, gen_data
 
 
@@ -188,10 +189,10 @@ class TestSampleCca:
         rng = np.random.default_rng(12)
         U = rng.standard_normal((30, 20))
         V = rng.standard_normal((5, 20))
-        with pytest.warns(RegimeWarning):
-            res = sample_cca(U, V, demean=True)
-        assert np.all(res.correlations_sq > 1.0 - 1e-12)
         Ud = U - U.mean(axis=1, keepdims=True)
+        with pytest.warns(RegimeWarning):
+            res = sample_cca(Ud, V - V.mean(axis=1, keepdims=True))
+        assert np.all(res.correlations_sq > 1.0 - 1e-12)
         assert np.allclose(Ud.T @ res.left_weights.T, res.left_variables.T, atol=1e-10)
         minimal = np.linalg.pinv(Ud.T) @ res.left_variables.T
         assert np.allclose(res.left_weights, minimal.T, atol=1e-10)
@@ -203,16 +204,6 @@ class TestSampleCca:
         V = rng.standard_normal((5, 30))
         with pytest.raises(RankDeficient):
             sample_cca(U, V)
-
-    def test_demean_flag(self):
-        rng = np.random.default_rng(10)
-        U = rng.standard_normal((4, 50)) + 5.0
-        V = rng.standard_normal((5, 50)) - 3.0
-        res = sample_cca(U, V, demean=True)
-        ref = sample_cca(
-            U - U.mean(axis=1, keepdims=True), V - V.mean(axis=1, keepdims=True)
-        )
-        assert np.allclose(res.correlations_sq, ref.correlations_sq, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -542,8 +533,12 @@ class TestCanonicalBases:
         # cosines match the CCA correlations on the same inputs
         lam = sample_cca(U, V).correlations_sq
         assert np.allclose(basis.cosines**2, lam, atol=1e-10)
-        assert basis.padded_cosines.shape == (5,)
-        assert np.all(basis.padded_cosines[3:] == 0.0)
+        # the scalar-product table pads them with zeros to the larger side
+        star = rng.standard_normal((2, 25))
+        cosines = MasterInputs.from_vectors(star[0], star[1], basis).cosines
+        assert cosines.shape == (5,)
+        assert np.array_equal(cosines[:3], basis.cosines)
+        assert np.all(cosines[3:] == 0.0)
 
     def test_requires_smaller_first(self):
         with pytest.raises(DimensionError):
@@ -603,12 +598,6 @@ class TestPcaSpectrum:
         X = rng.standard_normal((6, 40))
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         assert np.max(np.abs(pca_spectrum(X) - pca_spectrum(Q @ X))) < 1e-10
-
-    def test_demean(self):
-        rng = np.random.default_rng(16)
-        X = rng.standard_normal((5, 200)) + 10.0
-        eig = pca_spectrum(X, demean=True)
-        assert eig[0] < 5.0  # the mean direction is removed
 
 
 class TestAngleBetween:

@@ -111,7 +111,9 @@ class TestGenData:
         S = 60
         extra = {}
         if mode == "deterministic":
-            pairs = [sinusoid_pair(S, 0.8), sinusoid_pair(S, 0.5, 4, 9)]
+            t = np.arange(S)
+            x, nu = (np.sqrt(2.0) * np.sin(2.0 * np.pi * f * t / S) for f in (4, 9))
+            pairs = [sinusoid_pair(S, 0.8), (x, 0.5 * x + np.sqrt(0.75) * nu)]
             extra = {"signal_x": np.array([p[0] for p in pairs]),
                      "signal_y": np.array([p[1] for p in pairs])}
         spec = SimSpec(K=6, M=9, S=S, signal_strengths=(0.8, 0.5), noise_law=law,

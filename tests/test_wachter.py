@@ -308,15 +308,6 @@ class TestStieltjes:
             oracle = quad_density_integral(r, lambda x: 1.0 / (z - x)) / r.tau_K
             assert wachter_stieltjes(z, r) == pytest.approx(oracle, abs=1e-8)
 
-    def test_matches_quadrature_complex(self):
-        r = regime_from_dims(6, 8, 45)
-        for z in (0.4 + 0.3j, -0.2 + 0.05j, 1.5 - 0.7j):
-            re = quad_density_integral(r, lambda x: np.real(1.0 / (z - x))) / r.tau_K
-            im = quad_density_integral(r, lambda x: np.imag(1.0 / (z - x))) / r.tau_K
-            val = wachter_stieltjes(z, r)
-            assert val.real == pytest.approx(re, abs=1e-8)
-            assert val.imag == pytest.approx(im, abs=1e-8)
-
     def test_edge_sqrt_identity_at_spike(self):
         # sqrt((z_rho-lambda_-)(z_rho-lambda_+)) has the closed form
         # (rho^4 (tau_K-1)(tau_M-1) - 1) / (rho^2 tau_M tau_K)
