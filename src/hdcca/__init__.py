@@ -37,7 +37,6 @@ from .linalg import (
     CcaResult,
     angle_between,
     canonical_bases,
-    pca_spectrum,
     sample_cca,
 )
 from .master import (

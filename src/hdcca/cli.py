@@ -1,4 +1,6 @@
-"""Command-line surface: analyze, simulate, master-check, pca.
+"""Command-line surface: analyze, simulate, master-check.
+
+``analyze`` always writes one file set, the one README.md lists.
 
 ``simulate`` runs a named preset or a spec file.  A preset is the keys and
 values a spec file would hold, so ``--preset NAME`` runs as the file
@@ -33,7 +35,7 @@ from .errors import (
     SpecError,
 )
 from .inference import GATE_MULTIPLIER, _analyze_correlations, analyze
-from .linalg import pca_spectrum, sample_cca
+from .linalg import sample_cca
 from .simulate import _angles, gen_data, mc_angles, seeded_rng, theory
 
 EXIT_OK = 0
@@ -89,10 +91,10 @@ def _print_spike_table(report):
         print("  ".join(row))
 
 
-def _write_tables(out, report, spikes):
+def _write_tables(out, report):
     hio.write_correlations_csv(out / "correlations.csv", report.correlations)
     hio.write_histogram_csv(out / "histogram.csv", report.histogram)
-    hio.write_spikes_csv(out / "spikes.csv", spikes)
+    hio.write_spikes_csv(out / "spikes.csv", report.spikes)
     if report.overlay is not None:
         hio.write_overlay_csv(out / "overlay.csv", report.overlay)
 
@@ -101,19 +103,11 @@ def cmd_analyze(args) -> int:
     u = hio.load_csv(args.u_csv, orientation=args.orientation, demean=args.demean)
     v = hio.load_csv(args.v_csv, orientation=args.orientation, demean=args.demean)
     hio.check_joint_samples(u, v)
-    report = analyze(u.values, v.values, gate_multiplier=args.gate_multiplier, bins=args.bins)
+    report = analyze(u.values, v.values, gate_multiplier=args.gate_multiplier)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.format in ("csv", "both"):
-        spikes = list(report.spikes)
-        if args.empirical_rows:
-            spikes += list(report.empirical_spikes)
-        _write_tables(out, report, spikes)
-    if args.format in ("json", "both"):
-        hio.write_report_json(out / "report.json", report)
-    if args.pca:
-        hio.write_pca_csv(out / "pca_u.csv", pca_spectrum(u.values))
-        hio.write_pca_csv(out / "pca_v.csv", pca_spectrum(v.values))
+    _write_tables(out, report)
+    hio.write_report_json(out / "report.json", report)
     _print_spike_table(report)
     for note in report.notes:
         print(f"note: {note}")
@@ -132,7 +126,7 @@ def _write_curves(out, rows):
 def _run_single(spec, out):
     theta_x, theta_y, lam = _angles(spec, *gen_data(spec))
     report = _analyze_correlations(lam, spec.K, spec.M, spec.S)
-    _write_tables(out, report, report.spikes)
+    _write_tables(out, report)
     if spec.n_signals:
         predictions = theory(spec)  # raises DimensionError before the angles
         rows = [
@@ -315,16 +309,6 @@ def cmd_master_check(args) -> int:
     return EXIT_OK if check.ok(K) else EXIT_NUMERICAL
 
 
-def cmd_pca(args) -> int:
-    data = hio.load_csv(args.csv, orientation=args.orientation, demean=args.demean)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    eig = pca_spectrum(data.values)
-    hio.write_pca_csv(out / "pca_spectrum.csv", eig)
-    print(f"wrote pca_spectrum.csv ({eig.shape[0]} eigenvalues)")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdcca",
@@ -351,16 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="a spike whose gap to the next correlation (or to the "
                     "bulk edge) is below this over sqrt(S) is flagged in the "
                     "gate column, in gate_passed and in the notes, never removed")
-    pa.add_argument("--bins", type=hio.positive_int, default=None)
     pa.add_argument("--out-dir", default=".")
-    pa.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    pa.add_argument("--pca", action="store_true", help="also write PCA spectra")
-    pa.add_argument(
-        "--empirical-rows",
-        action="store_true",
-        help="append the empirical-route rows (method empirical-G) to "
-        "spikes.csv; report.json carries them either way",
-    )
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("simulate", help="synthetic draws and Monte Carlo curves")
@@ -381,17 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dims", type=int, nargs=3, default=[6, 9, 40], metavar=("K", "M", "S")
     )
     pm.set_defaults(func=cmd_master_check)
-
-    pp = sub.add_parser("pca", help="PCA spectrum of one CSV panel")
-    pp.add_argument("csv")
-    pp.add_argument(
-        "--orientation",
-        choices=hio.ORIENTATIONS,
-        default="rows-are-variables",
-    )
-    pp.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
-    pp.add_argument("--out-dir", default=".")
-    pp.set_defaults(func=cmd_pca)
     return parser
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import master, wachter
 from .errors import DimensionError, HdccaError, PoleProximity
-from .linalg import _factor, _panels, _regime_note
+from .linalg import _factor, _panels
 
 _TIE_TOL = 1e-10
 # a spike's gap must be at least this over sqrt(S) to pass the gate
@@ -184,9 +184,7 @@ def estimate_spike_empirical(
     )
 
 
-def _freedman_diaconis_edges(values, bins):
-    if bins is not None:
-        return np.histogram_bin_edges(values, bins=int(bins))
+def _freedman_diaconis_edges(values):
     if values.size < 2 or np.ptp(values) == 0.0:
         return np.histogram_bin_edges(values, bins=1)
     edges = np.histogram_bin_edges(values, bins="fd")
@@ -200,7 +198,6 @@ def analyze(
     V,
     *,
     gate_multiplier: float = GATE_MULTIPLIER,
-    bins: int | None = None,
 ) -> AnalysisReport:
     """Full pipeline: CCA, spike detection, both estimators, histogram.
 
@@ -214,19 +211,15 @@ def analyze(
     U, V = _panels(U, V)
     return _analyze_correlations(
         _factor(U, V, 0)[0], U.shape[0], V.shape[0], U.shape[1],
-        gate_multiplier=gate_multiplier, bins=bins,
+        gate_multiplier=gate_multiplier,
     )
 
 
 def _analyze_correlations(
-    lam, K, M, S, *, gate_multiplier=GATE_MULTIPLIER, bins=None
+    lam, K, M, S, *, gate_multiplier=GATE_MULTIPLIER
 ) -> AnalysisReport:
     """``analyze`` from the squared correlations ``lam`` of K x S and M x S panels."""
     notes: list[str] = []
-    regime_note = _regime_note(K, M, S)
-    if regime_note is not None:
-        notes.append(regime_note)
-
     regime = None
     try:
         regime = wachter.regime_from_dims(K, M, S)
@@ -271,7 +264,7 @@ def _analyze_correlations(
     if bulk.size == 0:
         bulk = lam
         notes.append("all correlations are above the edge; histogram uses them all")
-    edges = _freedman_diaconis_edges(bulk, bins)
+    edges = _freedman_diaconis_edges(bulk)
     counts, edges = np.histogram(bulk, bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
     density = (

@@ -292,11 +292,6 @@ def write_overlay_csv(path, overlay) -> None:
     write_table(path, ["x", "wachter_density"], np.asarray(overlay).tolist())
 
 
-def write_pca_csv(path, eigenvalues) -> None:
-    write_table(path, ["rank", "eigenvalue"],
-                enumerate(np.asarray(eigenvalues).tolist(), start=1))
-
-
 def _spike_dict(s: SpikeReport) -> dict:
     fields = {column: getattr(s, attr) for column, attr in SPIKE_FIELDS}
     return {**fields, "gap": None if np.isnan(s.gap) else s.gap}

@@ -1,4 +1,4 @@
-"""Numerically stable CCA, canonical subspace bases, PCA spectra, and angles.
+"""Numerically stable CCA, canonical subspace bases, and angles.
 
 Sample canonical correlations are defined through eigenvalues of
 ``(U U^T)^-1 U V^T (V V^T)^-1 V U^T``, but that expression squares condition
@@ -63,6 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import wachter
 from .errors import (
     DimensionError,
     RankDeficient,
@@ -107,16 +108,6 @@ def _fix_signs(weights, variables=None):
             weights[i] = -weights[i]
             if variables is not None:
                 variables[i] = -variables[i]
-
-
-def _regime_note(K: int, M: int, S: int) -> str | None:
-    """Why the sample size is outside the recommended regime, or None."""
-    if S > K + M:
-        return None
-    return (
-        f"S={S} <= K+M={K + M}: {max(K + M - S, 0)} correlations are "
-        "forced to 1 and the remaining ones carry reduced information"
-    )
 
 
 def _panels(U, V):
@@ -337,17 +328,18 @@ def sample_cca(U, V) -> CcaResult:
     -------
     CcaResult
         With ``min(K, M)`` correlations sorted descending.  Warns
-        ``RegimeWarning`` when ``S <= K + M``.  Raises ``RankDeficient``
-        when a panel with fewer rows than samples has an equilibrated Gram
-        condition number above 1e12.  A panel with at least as many rows as
-        samples is taken at its numerical rank r (so there are at most r
-        correlations), with minimal-norm weights: when its rows span every
-        sample direction, all correlations are 1.
+        ``RegimeWarning`` with ``analyze``'s note when ``S <= K + M``.
+        Raises ``RankDeficient`` when a panel with fewer rows than samples
+        has an equilibrated Gram condition number above 1e12.  A panel with
+        at least as many rows as samples is taken at its numerical rank r
+        (so there are at most r correlations), with minimal-norm weights:
+        when its rows span every sample direction, all correlations are 1.
     """
     U, V = _panels(U, V)
-    note = _regime_note(U.shape[0], V.shape[0], U.shape[1])
-    if note is not None:
-        warnings.warn(note, RegimeWarning, stacklevel=2)
+    try:
+        wachter.regime_from_dims(U.shape[0], V.shape[0], U.shape[1])
+    except DimensionError as exc:
+        warnings.warn(f"dimension regime violated: {exc}", RegimeWarning, stacklevel=2)
     lam, left, right = _factor(U, V)
     (left_w, left_v), (right_w, right_v) = _recover(*left), _recover(*right)
     _fix_signs(left_w, left_v)
@@ -405,18 +397,8 @@ def canonical_bases(U_sub, V_sub) -> CanonicalBasis:
 
 
 # ---------------------------------------------------------------------------
-# PCA spectrum and angles
+# Angles
 # ---------------------------------------------------------------------------
-
-def pca_spectrum(X) -> np.ndarray:
-    """Descending eigenvalues of ``X X^T / S`` for an N x S data matrix,
-    taken as given: de-mean it first, as ``io.load_csv`` does."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    sigma = np.linalg.svd(X, compute_uv=False)
-    eig = np.zeros(X.shape[0])
-    eig[: sigma.shape[0]] = sigma**2 / X.shape[1]
-    return eig
-
 
 class AngleResult(NamedTuple):
     cos_sq: float

@@ -553,26 +553,29 @@ def wachter_G(z: float, regime: wachter.AsymptoticRegime) -> StieltjesEval:
     )
 
 
-def r2_relation(lam: float, g_value: float, k_ratio: float, m_ratio: float) -> float:
-    """Signal strength implied by an outlier at ``lam`` given G(lam).
-
-    ``k_ratio`` and ``m_ratio`` are K/S and M/S (or their limits)."""
+def _relation_terms(lam, g_value, k_ratio, m_ratio):
+    """``(den, num_a, num_b)`` of the large-dimension relations at ``lam``
+    given G(lam); DenominatorVanishes when ``den`` is within 1e-14 of 0."""
     den = 1.0 - m_ratio - lam * k_ratio - lam * (1.0 - lam) * g_value
     if abs(den) < 1e-14:
         raise DenominatorVanishes(f"relation denominator vanishes at lam={lam}")
     num_a = 1.0 - 2.0 * k_ratio - (m_ratio - k_ratio) / lam - (1.0 - lam) * g_value
     num_b = 1.0 - k_ratio - m_ratio - (1.0 - lam) * g_value
+    return den, num_a, num_b
+
+
+def r2_relation(lam: float, g_value: float, k_ratio: float, m_ratio: float) -> float:
+    """Signal strength implied by an outlier at ``lam`` given G(lam).
+
+    ``k_ratio`` and ``m_ratio`` are K/S and M/S (or their limits)."""
+    den, num_a, num_b = _relation_terms(lam, g_value, k_ratio, m_ratio)
     return lam * num_a * num_b / (den * den)
 
 
 def q_factors(lam: float, g_value: float, k_ratio: float, m_ratio: float):
     """The two ratio factors entering the cosine relations."""
-    den = 1.0 - m_ratio - lam * k_ratio - lam * (1.0 - lam) * g_value
-    if abs(den) < 1e-14:
-        raise DenominatorVanishes(f"ratio denominator vanishes at lam={lam}")
-    q_x = -(1.0 - 2.0 * k_ratio - (m_ratio - k_ratio) / lam - (1.0 - lam) * g_value) / den
-    q_y = -(1.0 - k_ratio - m_ratio - (1.0 - lam) * g_value) / den
-    return q_x, q_y
+    den, num_a, num_b = _relation_terms(lam, g_value, k_ratio, m_ratio)
+    return -num_a / den, -num_b / den
 
 
 class Cos2Eval(NamedTuple):

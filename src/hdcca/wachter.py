@@ -93,8 +93,11 @@ def regime_from_dims(K: int, M: int, S: int) -> AsymptoticRegime:
     ------
     DimensionError
         If ``max(K, M) >= S`` (every sample correlation is 1: the rows of the
-        larger matrix span the whole sample space) or ``K + M >= S``
-        (``K + M - S`` correlations are forced to 1 by subspace intersection).
+        larger matrix span the whole sample space), ``K + M > S``
+        (``K + M - S`` correlations are forced to 1 by subspace intersection)
+        or ``K + M = S`` (the bulk's upper edge reaches 1).  Its text is the
+        one wording of a regime violation: ``analyze`` notes it and
+        ``sample_cca`` warns with it.
     """
     if K <= 0 or M <= 0 or S <= 0:
         raise DimensionError(f"dimensions must be positive, got ({K}, {M}, {S})")
@@ -107,10 +110,9 @@ def regime_from_dims(K: int, M: int, S: int) -> AsymptoticRegime:
             "correlations equal 1"
         )
     if K + M >= S:
-        raise DimensionError(
-            f"K+M={K + M} >= S={S}: {K + M - S if K + M > S else 0} or more "
-            "correlations are forced to 1 by subspace intersection"
-        )
+        why = (f"{K + M - S} or more correlations are forced to 1 by subspace "
+               "intersection" if K + M > S else "the bulk's upper edge reaches 1")
+        raise DimensionError(f"K+M={K + M} >= S={S}: {why}")
     base = regime_from_ratios(S / K, S / M)
     return AsymptoticRegime(
         base.tau_K,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdcca import linalg
-from hdcca.errors import DimensionError, PoleProximity, RankDeficient
+from hdcca.errors import DimensionError, PoleProximity, RankDeficient, RegimeWarning
 from hdcca.inference import (
     _walk_spikes,
     analyze,
@@ -272,6 +272,18 @@ class TestAnalyze:
         assert any("regime" in n for n in report.notes)
         assert report.spikes == []
 
+    @pytest.mark.parametrize("K, M, S", [(10, 20, 25), (10, 15, 25), (30, 5, 20)])
+    def test_one_regime_note_and_warning(self, K, M, S):
+        # K+M > S, K+M = S and M >= S: one note, and sample_cca warns with it
+        rng = seeded_rng(19)
+        U, V = rng.standard_normal((K, S)), rng.standard_normal((M, S))
+        notes = analyze(U, V).notes
+        assert len(notes) == 1 and notes[0].startswith("dimension regime violated: ")
+        assert "0 or more" not in notes[0]
+        with pytest.warns(RegimeWarning) as record:
+            linalg.sample_cca(U, V)
+        assert [str(w.message) for w in record] == notes
+
     def test_concurrent_calls_keep_their_notes(self):
         # notes are computed values, so threads interleaving inside analyze
         # cannot lose or swap them
@@ -279,7 +291,7 @@ class TestAnalyze:
         violated = (rng.standard_normal((10, 25)), rng.standard_normal((20, 25)))
         gated = _limestone_panels()
         expected = {id(p): analyze(*p).notes for p in (violated, gated)}
-        assert [len(n) for n in expected.values()] == [2, 1]
+        assert [len(n) for n in expected.values()] == [1, 1]
         mismatches = []
 
         def worker(panels):

@@ -522,12 +522,37 @@ class TestCliAnalyze:
             assert list(csv.DictReader(fh)) == []
         assert "no correlations above the bulk edge" in capsys.readouterr().out
 
-    def test_pca_flag(self, tmp_path):
+    def test_file_set(self, tmp_path):
+        # one file set: overlay.csv inside the dimension regime only
+        tables = {"correlations.csv", "histogram.csv", "report.json", "spikes.csv"}
         rng = np.random.default_rng(2)
+        (tmp_path / "ok").mkdir()
         U, V = rng.standard_normal((5, 60)), rng.standard_normal((6, 60))
-        code, out = self.run_panels(tmp_path, U, V, "--pca")
+        code, out = self.run_panels(tmp_path / "ok", U, V)
         assert code == 0
-        assert (out / "pca_u.csv").exists() and (out / "pca_v.csv").exists()
+        assert {p.name for p in out.iterdir()} == tables | {"overlay.csv"}
+        (tmp_path / "regime").mkdir()
+        U, V = rng.standard_normal((10, 25)), rng.standard_normal((20, 25))
+        code, out = self.run_panels(tmp_path / "regime", U, V)
+        assert code == 3
+        assert {p.name for p in out.iterdir()} == tables
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "u.csv", "v.csv", "--format", "json"],
+        ["analyze", "u.csv", "v.csv", "--pca"],
+        ["analyze", "u.csv", "v.csv", "--empirical-rows"],
+        ["analyze", "u.csv", "v.csv", "--bins", "10"],
+        ["pca", "u.csv"],
+    ], ids=["format", "pca-flag", "empirical-rows", "bins", "pca-command"])
+    def test_removed_options_exit_2(self, tmp_path, monkeypatch, argv):
+        rng = np.random.default_rng(2)
+        write_matrix_csv(tmp_path / "u.csv", rng.standard_normal((5, 60)))
+        write_matrix_csv(tmp_path / "v.csv", rng.standard_normal((6, 60)))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-dir", "out"])
+        assert info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_regime_violation_exit_3(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -548,19 +573,10 @@ class TestCliAnalyze:
         v_csv = tmp_path / "v.csv"
         write_matrix_csv(v_csv, np.ones((2, 5)))
         assert main(["analyze", str(tmp_path), str(v_csv)]) == 2
-        assert main(["pca", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
         u_csv = tmp_path / "u.csv"
         u_csv.write_bytes(b"1.0,2.0,3.0,4.0,5.0\n\xff,1.0,2.0,3.0,4.0\n")
         assert main(["analyze", str(u_csv), str(v_csv)]) == 2
         assert "u.csv is not UTF-8" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bins", ["0", "-2", "x"])
-    def test_bad_bins_exit_2(self, tmp_path, bins):
-        rng = np.random.default_rng(2)
-        U, V = rng.standard_normal((5, 60)), rng.standard_normal((6, 60))
-        with pytest.raises(SystemExit) as info:
-            self.run_panels(tmp_path, U, V, "--bins", bins)
-        assert info.value.code == 2
 
     @pytest.mark.parametrize("multiplier", ["nan", "inf", "0", "-1", "x"])
     def test_bad_gate_multiplier_exit_2(self, tmp_path, multiplier):
@@ -590,7 +606,6 @@ class TestCliAnalyze:
         u_csv.write_text("a\nb\nc\n")
         write_matrix_csv(v_csv, np.ones((2, 5)))
         assert main(["analyze", str(u_csv), str(v_csv)]) == 2
-        assert main(["pca", str(u_csv), "--out-dir", str(tmp_path)]) == 2
 
     def test_demean_at_load_removes_row_means(self, tmp_path):
         # only load_csv de-means: shifted rows give the correlations of the
@@ -603,7 +618,7 @@ class TestCliAnalyze:
             write_matrix_csv(out / "u.csv", U)
             write_matrix_csv(out / "v.csv", V)
             assert main(["analyze", str(out / "u.csv"), str(out / "v.csv"), *flags,
-                         "--format", "json", "--out-dir", str(out)]) == 0
+                         "--out-dir", str(out)]) == 0
             return np.array(json.loads((out / "report.json").read_text())["correlations"])
 
         base = correlations("base", U, V)
@@ -996,15 +1011,3 @@ class TestCliMasterCheck:
         check = master_check(150, 225, 1200, 1032)
         assert check.ok(150)
         assert check.vec_err <= 1e-10
-
-
-class TestCliPca:
-    def test_spectrum_file(self, tmp_path):
-        p = tmp_path / "m.csv"
-        rng = np.random.default_rng(4)
-        write_matrix_csv(p, rng.standard_normal((4, 50)))
-        out = tmp_path / "out"
-        assert main(["pca", str(p), "--out-dir", str(out)]) == 0
-        with (out / "pca_spectrum.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4

@@ -9,7 +9,6 @@ from hdcca.inference import analyze
 from hdcca.linalg import (
     angle_between,
     canonical_bases,
-    pca_spectrum,
     sample_cca,
 )
 from hdcca.master import MasterInputs
@@ -574,30 +573,6 @@ class TestCanonicalBases:
             assert np.max(np.abs(got @ got.T - np.eye(n))) <= 1e-12
             assert abs(1.0 - abs(got[0] @ ref[0])) <= 1e-12
             assert np.max(np.abs(got.T @ got - ref.T @ ref)) <= 1e-12
-
-
-class TestPcaSpectrum:
-    def test_rank_one(self):
-        row = np.ones(50) / np.sqrt(50)
-        X = np.vstack([row, row, row])
-        eig = pca_spectrum(X)
-        assert eig[0] == pytest.approx(3.0 / 50, abs=1e-12)
-        assert np.allclose(eig[1:], 0.0, atol=1e-12)
-
-    def test_marchenko_pastur_bulk(self):
-        rng = np.random.default_rng(14)
-        N, S = 100, 1000
-        eig = pca_spectrum(rng.standard_normal((N, S)))
-        gamma = N / S
-        lo, hi = (1 - np.sqrt(gamma)) ** 2, (1 + np.sqrt(gamma)) ** 2
-        assert eig.min() > lo - 0.05
-        assert eig.max() < hi + 0.05
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((6, 40))
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        assert np.max(np.abs(pca_spectrum(X) - pca_spectrum(Q @ X))) < 1e-10
 
 
 class TestAngleBetween:

@@ -22,11 +22,11 @@ rank-revealing route), collinear and desk-size three-spike panels, panels
 whose Gram guard is decided by its exact eigenvalue test, and rows in other
 units (one row of a small panel, and every row of the desk panels at
 log-uniform scales); CSV ingestion (labels with a header, ``rows-are-samples`` with and without a
-header, a UTF-8 byte-order mark, CRLF endings, quoted cells, ``pca``,
-labelled panels of several ``load_csv`` chunks, and one exit per input error:
-an empty, ``na``, ``inf`` or non-numeric cell, a non-numeric cell past the
+header, a UTF-8 byte-order mark, CRLF endings, quoted cells, labelled
+panels of several ``load_csv`` chunks, and one exit per input error: an
+empty, ``na``, ``inf`` or non-numeric cell, a non-numeric cell past the
 first chunk, a ragged row, a label-only file, a file that is not UTF-8, a
-directory, ``--bins 0``);
+directory);
 ``simulate`` presets and spec files for single, Monte Carlo and curve runs,
 including Monte Carlo runs large enough to draw on a worker thread (uniform
 and Student-t noise, mixing), ``--replications`` turning a Monte Carlo
@@ -246,42 +246,37 @@ def runs():
     def panel(name):
         return [f"../inputs/{name}_u.csv", f"../inputs/{name}_v.csv"]
 
-    extra = ["--pca", "--empirical-rows"]
     out = [
-        ("analyze_plain", ["analyze", *panel("plain"), *extra]),
-        ("analyze_swapped", ["analyze", *reversed(panel("plain")), *extra]),
-        ("analyze_two_spike", ["analyze", *panel("two_spike"), *extra]),
+        ("analyze_plain", ["analyze", *panel("plain")]),
+        ("analyze_swapped", ["analyze", *reversed(panel("plain"))]),
+        ("analyze_two_spike", ["analyze", *panel("two_spike")]),
         ("analyze_gate_fail",
-         ["analyze", *panel("plain"), *extra, "--gate-multiplier", "50"]),
-        ("analyze_regime", ["analyze", *panel("regime"), *extra]),
-        ("analyze_wide", ["analyze", *panel("wide"), *extra, "--no-demean"]),
-        ("analyze_ill", ["analyze", *panel("ill"), *extra]),
-        ("analyze_ill_mixed", ["analyze", *panel("ill_mixed"), *extra]),
-        ("analyze_row_units", ["analyze", *panel("row_units"), *extra]),
-        ("analyze_desk_units", ["analyze", *panel("desk_units"), *extra]),
-        ("analyze_collinear", ["analyze", *panel("collinear"), *extra]),
-        ("analyze_guard_fallback", ["analyze", *panel("guard_fallback"), *extra]),
-        ("analyze_desk", ["analyze", *panel("desk"), *extra]),
-        ("analyze_all_spikes", ["analyze", *panel("all_spikes"), *extra]),
-        ("analyze_wide_demean", ["analyze", *panel("wide"), *extra]),
-        ("analyze_json",
-         ["analyze", *panel("plain"), "--no-demean", "--format", "json"]),
-        ("csv_labeled", ["analyze", *panel("labeled"), *extra]),
-        ("csv_samples", ["analyze", *panel("samples"), *extra,
+         ["analyze", *panel("plain"), "--gate-multiplier", "50"]),
+        ("analyze_regime", ["analyze", *panel("regime")]),
+        ("analyze_wide", ["analyze", *panel("wide"), "--no-demean"]),
+        ("analyze_ill", ["analyze", *panel("ill")]),
+        ("analyze_ill_mixed", ["analyze", *panel("ill_mixed")]),
+        ("analyze_row_units", ["analyze", *panel("row_units")]),
+        ("analyze_desk_units", ["analyze", *panel("desk_units")]),
+        ("analyze_collinear", ["analyze", *panel("collinear")]),
+        ("analyze_guard_fallback", ["analyze", *panel("guard_fallback")]),
+        ("analyze_desk", ["analyze", *panel("desk")]),
+        ("analyze_all_spikes", ["analyze", *panel("all_spikes")]),
+        ("analyze_wide_demean", ["analyze", *panel("wide")]),
+        ("analyze_no_demean", ["analyze", *panel("plain"), "--no-demean"]),
+        ("csv_labeled", ["analyze", *panel("labeled")]),
+        ("csv_samples", ["analyze", *panel("samples"),
                          "--orientation", "rows-are-samples"]),
-        ("csv_samples_plain", ["analyze", *panel("samples_plain"), *extra,
+        ("csv_samples_plain", ["analyze", *panel("samples_plain"),
                                "--orientation", "rows-are-samples"]),
-        ("csv_bom", ["analyze", *panel("bom"), *extra]),
-        ("csv_crlf", ["analyze", *panel("crlf"), *extra]),
-        ("csv_quoted", ["analyze", *panel("quoted"), *extra]),
-        ("csv_chunks", ["analyze", *panel("chunks"), *extra,
+        ("csv_bom", ["analyze", *panel("bom")]),
+        ("csv_crlf", ["analyze", *panel("crlf")]),
+        ("csv_quoted", ["analyze", *panel("quoted")]),
+        ("csv_chunks", ["analyze", *panel("chunks"),
                         "--orientation", "rows-are-samples"]),
         ("csv_err_late_cell", ["analyze", "../inputs/err_late_cell.csv",
                                "../inputs/chunks_v.csv",
                                "--orientation", "rows-are-samples"]),
-        ("csv_pca", ["pca", "../inputs/labeled_u.csv"]),
-        ("csv_pca_samples", ["pca", "../inputs/samples_v.csv", "--no-demean",
-                             "--orientation", "rows-are-samples"]),
         ("sim_desk", ["simulate", "--preset", "desk", "--replications", "10"]),
         ("sim_fig8", ["simulate", "--preset", "fig8", "--replications", "20"]),
         ("sim_fig9", ["simulate", "--preset", "fig9", "--replications", "20"]),
@@ -314,7 +309,6 @@ def runs():
         ("spec_bad_value", ["simulate", "--spec", "../inputs/bad_value.cfg"]),
         ("spec_rotated_small_s",
          ["simulate", "--spec", "../inputs/rotated_small_s.cfg"]),
-        ("analyze_bins_0", ["analyze", *panel("plain"), "--bins", "0"]),
         ("csv_err_directory", ["analyze", "../inputs", "../inputs/err_v.csv"]),
         ("master_k1", ["master-check", "--dims", "1", "2", "10"]),
         ("master_k_above_m", ["master-check", "--dims", "5", "1", "20"]),
